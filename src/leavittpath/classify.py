@@ -1,19 +1,22 @@
 """Vertex-set classifiers.
 
-Closed-simple-path counting, line points (P_l), cycles without exits (P_c),
+Closed-simple-path classes, line points (P_l), cycles without exits (P_c),
 extreme cycles (P_ec), P_b∞, properly infinite vertices (P_pi), P_ppi, the
 P_ec′ / P_pec / P′ split, Conditions (K)/(L), P_(K), and P_ex.
 
 A closed simple path based at v is a closed path that visits v exactly once
 as a base (internal vertices may repeat).  csp_class reports |CSP(v)| as
-Zero, One, or TwoPlus; exact counts above 2 are never needed.
+Zero, One, or TwoPlus; exact counts above 2 are never needed.  The class is
+constant on each strongly connected component, so it is decided once per
+SCC of the graph's cached condensation, in O(n + m).  P_c and P_ec are the
+terminal SCCs of class One and TwoPlus.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from . import _kernel
 from .closures import (
     breaking_capable,
     breaking_vertices,
@@ -29,119 +32,46 @@ CSP_ONE = "One"
 CSP_TWO_PLUS = "TwoPlus"
 
 
-def _class_of_count(count: int) -> str:
-    if count == 0:
-        return CSP_ZERO
-    return CSP_ONE if count == 1 else CSP_TWO_PLUS
+def _scc_csp_classes(g: Graph) -> tuple[str, ...]:
+    """CSP class of each SCC of condense(g), by component id (cached).
+
+    Every closed path based at v stays inside v's SCC.  A trivial SCC has
+    none (Zero).  A non-trivial SCC whose internal edge instances number
+    exactly its vertices, with no ω, is one bare cycle (One).  Otherwise
+    some internal edge e lies off a cycle C through v, and the shortest
+    path v -> s(e), then e, then the shortest path r(e) -> v, is a second
+    closed simple path (TwoPlus).
+    """
+    cached = g._analysis_cache.get("scc_csp")
+    if cached is not None:
+        return cached
+    cond = condense(g)
+    internal = [0] * len(cond.sccs)
+    for b in g.bundles:
+        c = cond.scc_of[b.source]
+        if c == cond.scc_of[b.target]:
+            internal[c] += math.inf if b.mult is OMEGA else b.mult
+    out = tuple(
+        CSP_ZERO if cond.trivial[i]
+        else CSP_ONE if internal[i] == len(scc)
+        else CSP_TWO_PLUS
+        for i, scc in enumerate(cond.sccs)
+    )
+    g._analysis_cache["scc_csp"] = out
+    return out
 
 
 def csp_class(g: Graph, v: str) -> str:
-    """Classify the number of closed simple paths based at v (0 / 1 / >= 2).
-
-    Splits v into an out-end and an in-end and restricts to the vertices
-    lying on a route between them that avoids v.  Any ω-bundle or
-    multiplicity >= 2 on such a route, or any cycle inside the route region,
-    forces TwoPlus; otherwise the remaining region is a DAG whose paths are
-    counted with a cap of 2.
-    """
+    """Classify the number of closed simple paths based at v (0 / 1 / >= 2)."""
     g.check_vertices((v,))
-    self_mult = 0
-    for b in g.out_bundles(v):
-        if b.target == v:
-            if b.mult is OMEGA:
-                return CSP_TWO_PLUS
-            self_mult += b.mult
-    if self_mult >= 2:
-        return CSP_TWO_PLUS
-
-    entries = [t for t in g.targets(v) if t != v]
-    exits = sorted({b.source for b in g.in_bundles(v)} - {v})
-    if not entries or not exits:
-        return _class_of_count(self_mult)
-
-    # Adjacency with v deleted.
-    n = len(g.vertices)
-    adj = [0] * n
-    for b in g.bundles:
-        if b.source != v and b.target != v:
-            adj[g.index(b.source)] |= 1 << g.index(b.target)
-    reach = _kernel.reach_masks(n, adj)
-
-    from_entries = 0
-    for t in entries:
-        from_entries |= reach[g.index(t)]
-    exit_bits = g.mask_of(exits)
-    region = 0
-    for i in range(n):
-        if from_entries >> i & 1 and reach[i] & exit_bits:
-            region |= 1 << i
-    if not region:
-        return _class_of_count(self_mult)
-
-    # Multiplicity >= 2 (or ω) anywhere on a viable route.
-    for b in g.out_bundles(v):
-        if b.target != v and region >> g.index(b.target) & 1:
-            if b.mult is OMEGA or b.mult >= 2:
-                return CSP_TWO_PLUS
-    for b in g.in_bundles(v):
-        if b.source != v and region >> g.index(b.source) & 1:
-            if b.mult is OMEGA or b.mult >= 2:
-                return CSP_TWO_PLUS
-    for b in g.bundles:
-        if b.source == v or b.target == v:
-            continue
-        si, ti = g.index(b.source), g.index(b.target)
-        if region >> si & 1 and region >> ti & 1:
-            if b.mult is OMEGA or b.mult >= 2:
-                return CSP_TWO_PLUS
-
-    # Any cycle inside the region pumps the count.
-    for i in range(n):
-        if not region >> i & 1:
-            continue
-        if adj[i] >> i & 1:
-            return CSP_TWO_PLUS
-        for j in range(n):
-            if j != i and region >> j & 1:
-                if reach[i] >> j & 1 and reach[j] >> i & 1:
-                    return CSP_TWO_PLUS
-
-    # The region is a DAG with all multiplicities 1: count paths, capped.
-    into_v: dict[int, int] = {}
-    for b in g.in_bundles(v):
-        if b.source != v and region >> g.index(b.source) & 1:
-            i = g.index(b.source)
-            into_v[i] = into_v.get(i, 0) + b.mult
-    memo: dict[int, int] = {}
-
-    def count_from(i: int) -> int:
-        if i in memo:
-            return memo[i]
-        total = into_v.get(i, 0)
-        rest = adj[i] & region
-        while rest and total < 2:
-            low = rest & -rest
-            rest ^= low
-            total += count_from(low.bit_length() - 1)
-        memo[i] = min(total, 2)
-        return memo[i]
-
-    total = self_mult
-    for b in g.out_bundles(v):
-        if b.target != v and region >> g.index(b.target) & 1:
-            total += count_from(g.index(b.target))
-        if total >= 2:
-            return CSP_TWO_PLUS
-    return _class_of_count(total)
+    return _scc_csp_classes(g)[condense(g).scc_of[v]]
 
 
 def csp_classes(g: Graph) -> dict:
-    """csp_class for every vertex (cached on the graph)."""
-    cached = g._analysis_cache.get("csp")
-    if cached is None:
-        cached = {v: csp_class(g, v) for v in g.vertices}
-        g._analysis_cache["csp"] = cached
-    return cached
+    """csp_class for every vertex."""
+    scc_of = condense(g).scc_of
+    classes = _scc_csp_classes(g)
+    return {v: classes[scc_of[v]] for v in g.vertices}
 
 
 def line_points(g: Graph) -> tuple[str, ...]:
@@ -165,42 +95,30 @@ def line_points(g: Graph) -> tuple[str, ...]:
     )
 
 
-def cycles_without_exits(g: Graph) -> tuple[str, ...]:
-    """Vertices on cycles all of whose vertices emit exactly one edge (P_c)."""
+def _terminal_sccs_of_class(g: Graph, csp: str) -> tuple[str, ...]:
     cond = condense(g)
-    out = []
-    for i, scc in enumerate(cond.sccs):
-        if cond.trivial[i]:
-            continue
-        if all(g.out_multiplicity(v) == 1 for v in scc):
-            out.extend(scc)
-    return tuple(sorted(out))
+    classes = _scc_csp_classes(g)
+    return tuple(sorted(
+        v
+        for i, scc in enumerate(cond.sccs)
+        if cond.terminal[i] and classes[i] == csp
+        for v in scc
+    ))
+
+
+def cycles_without_exits(g: Graph) -> tuple[str, ...]:
+    """Vertices on cycles without exits (P_c): terminal SCCs of class One."""
+    return _terminal_sccs_of_class(g, CSP_ONE)
 
 
 def extreme_cycles(g: Graph) -> tuple[str, ...]:
-    """Vertices of extreme cycles (P_ec).
+    """Vertices of extreme cycles (P_ec): terminal SCCs of class TwoPlus.
 
-    Computed as the non-trivial *terminal* SCCs carrying more edge instances
-    than vertices (so some cycle vertex emits at least two edges: the cycles
-    have exits, and terminality makes every departing path return).  The
-    equivalence with the path-return definition is oracle-tested rather than
-    assumed.
+    A terminal SCC's out-edges all stay inside it, so every departing path
+    returns, and TwoPlus means its cycles have exits.  The equivalence with
+    the path-return definition is oracle-tested rather than assumed.
     """
-    cond = condense(g)
-    out = []
-    for i in cond.non_trivial_terminal():
-        scc = cond.sccs[i]
-        total = 0
-        extra = False
-        for v in scc:
-            m = g.out_multiplicity(v)
-            if m is OMEGA:
-                extra = True
-                break
-            total += m
-        if extra or total > len(scc):
-            out.extend(scc)
-    return tuple(sorted(out))
+    return _terminal_sccs_of_class(g, CSP_TWO_PLUS)
 
 
 def b_infinity(g: Graph) -> tuple[str, ...]:

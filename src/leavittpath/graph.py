@@ -262,7 +262,10 @@ class Condensation:
 
 
 def condense(g: Graph) -> Condensation:
-    """Strongly connected components, flags, and the component DAG."""
+    """Strongly connected components, flags, and the component DAG (cached)."""
+    cached = g._analysis_cache.get("condensation")
+    if cached is not None:
+        return cached
     n = len(g.vertices)
     indptr = [0]
     indices: list[int] = []
@@ -291,13 +294,15 @@ def condense(g: Graph) -> Condensation:
     )
     terminal = tuple(not dag_sets[i] for i in range(ncomp))
     dag = tuple(tuple(sorted(s)) for s in dag_sets)
-    return Condensation(
+    cond = Condensation(
         scc_of={v: labels[g.index(v)] for v in g.vertices},
         sccs=sccs,
         dag=dag,
         trivial=trivial,
         terminal=terminal,
     )
+    g._analysis_cache["condensation"] = cond
+    return cond
 
 
 def reachable(g: Graph, frm) -> tuple[str, ...]:
@@ -496,8 +501,3 @@ def instance_id(bundle: EdgeBundle, idx: int) -> str:
     """Canonical instance id: bare bundle id for multiplicity 1, else id[i]."""
     return bundle.id if bundle.mult == 1 else f"{bundle.id}[{idx}]"
 
-
-def instance_sort_key(g: Graph, token: str) -> tuple[str, int]:
-    """Deterministic instance order: bundle id lexicographic, index numeric."""
-    b, idx = parse_instance(g, token)
-    return (b.id, idx)

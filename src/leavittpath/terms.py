@@ -289,15 +289,6 @@ class AlgebraElement:
         return f"AlgebraElement({format_element(self)})"
 
 
-def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    return a * b
-
-
-def normalize(a: AlgebraElement) -> AlgebraElement:
-    """Re-run CK2 normalization (a no-op on the always-normal elements)."""
-    return AlgebraElement(a.graph, a._terms)
-
-
 def graded_components(a: AlgebraElement) -> dict:
     """Split by degree(αβ*) = |α| − |β|; the components sum back to a."""
     split: dict[int, dict] = {}
@@ -389,13 +380,21 @@ def _tokenize(text: str):
     return tokens
 
 
+_MAX_NESTING = 100
+
+
 class _Parser:
-    """Recursive descent over: sum of products of starred atoms."""
+    """Recursive descent over: sum of products of starred atoms.
+
+    Parentheses nest at most _MAX_NESTING deep, so the recursion depth stays
+    bounded whatever the input.
+    """
 
     def __init__(self, g: Graph, text: str):
         self.g = g
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -465,10 +464,16 @@ class _Parser:
         if kind == "ident":
             return ("element", self._resolve(text, col))
         if kind == "sym" and text == "(":
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise ExpressionError(
+                    f"parentheses nested deeper than {_MAX_NESTING}", col
+                )
             value = self.expr()
             kind, text, col = self.advance()
             if not (kind == "sym" and text == ")"):
                 raise ExpressionError("expected ')'", col)
+            self.depth -= 1
             return value
         raise ExpressionError(
             f"unexpected token '{text}'" if text else "unexpected end of expression",

@@ -8,12 +8,18 @@ implementation.
 import pytest
 
 from leavittpath import (
+    EdgeBundle,
+    Graph,
     classify,
+    cli,
     condition_K,
     condition_L,
     csp_class,
     csp_classes,
+    cycles_without_exits,
+    extreme_cycles,
     parse_graph,
+    to_text,
 )
 from leavittpath.classify import p_K, p_ppi
 
@@ -55,6 +61,36 @@ def test_csp_multiplicity_counts():
     assert csp_class(g, "v") == "TwoPlus"
     g2 = parse_graph("vertices v w\nbundle m v w omega\nedge e w v\n")
     assert csp_class(g2, "v") == "TwoPlus"
+
+
+def _cycle(n, chord=False):
+    vs = [f"c{i}" for i in range(n)]
+    bundles = [EdgeBundle(f"e{i}", vs[i], vs[(i + 1) % n]) for i in range(n)]
+    if chord:
+        bundles.append(EdgeBundle("chord", vs[0], vs[n // 2]))
+    return Graph(vs, bundles)
+
+
+def test_csp_long_simple_cycle():
+    g = _cycle(1500)
+    assert set(csp_classes(g).values()) == {"One"}
+    assert cycles_without_exits(g) == g.vertices
+    assert extreme_cycles(g) == ()
+
+
+def test_csp_long_cycle_with_chord():
+    # the chord is an exit of the cycle and closes a second simple path
+    g = _cycle(1500, chord=True)
+    assert set(csp_classes(g).values()) == {"TwoPlus"}
+    assert extreme_cycles(g) == g.vertices
+    assert cycles_without_exits(g) == ()
+
+
+def test_cli_classify_long_cycle(tmp_path, capsys):
+    path = tmp_path / "cycle300.lpa"
+    path.write_text(to_text(_cycle(300)))
+    assert cli.run(["classify", str(path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 CLASSIFY_EXPECTED = {

@@ -133,6 +133,21 @@ def test_eval_text(capsys):
     assert out == "1 · v2\n"
 
 
+def test_eval_deep_nesting_exits_2(capsys):
+    expr = "(" * 3000 + "v1" + ")" * 3000
+    code, out, err = run_cli(capsys, "eval", fixture_path("line2"), "--expr", expr)
+    assert code == 2
+    assert out == ""
+    assert err == "error: column 101: parentheses nested deeper than 100\n"
+
+
+def test_eval_moderate_nesting(capsys):
+    expr = "(" * 50 + "e1* e1" + ")" * 50
+    code, out, _ = run_cli(capsys, "eval", fixture_path("line2"), "--expr", expr)
+    assert code == 0
+    assert out == "1 · v2\n"
+
+
 def test_eval_graded_text(capsys):
     code, out, _ = run_cli(
         capsys,

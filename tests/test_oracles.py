@@ -2,12 +2,23 @@
 
 The oracles get cross-checked against the fast paths in bulk elsewhere;
 here they are pinned on small cases worked out by hand, so a bug cannot
-hide in both routes at once.
+hide in both routes at once.  The one bulk sweep here is the ω one: it
+covers multiplicity ω, which the exhaustive sweeps elsewhere leave out.
 """
+
+import itertools
+import random
 
 import pytest
 
-from leavittpath import parse_graph
+from leavittpath import (
+    OMEGA,
+    csp_class,
+    cycles_without_exits,
+    extreme_cycles,
+    parse_graph,
+    to_text,
+)
 from leavittpath.oracles import (
     b_infinity_oracle,
     csp_class_oracle,
@@ -21,6 +32,7 @@ from leavittpath.oracles import (
     simple_cycles,
     sccs_oracle,
 )
+from leavittpath.random_graphs import _graph_from_code
 
 from conftest import fixture_graph
 
@@ -115,3 +127,23 @@ def test_hereditary_saturated_sets_size_guard():
     )
     with pytest.raises(ValueError):
         hereditary_saturated_sets(g)
+
+
+def _omega_sweep_codes():
+    """All codes for n <= 2 and 3,000 seeded n = 3 codes over {0, 1, 2, ω}."""
+    mults = (0, 1, 2, OMEGA)
+    for n in (1, 2):
+        for code in itertools.product(mults, repeat=n * n):
+            yield n, code
+    rng = random.Random(20191)
+    for _ in range(3000):
+        yield 3, tuple(rng.choice(mults) for _ in range(9))
+
+
+def test_csp_and_cycle_sets_match_oracles_with_omega():
+    for n, code in _omega_sweep_codes():
+        g = _graph_from_code(n, code)
+        for v in g.vertices:
+            assert csp_class(g, v) == csp_class_oracle(g, v), to_text(g)
+        assert cycles_without_exits(g) == cycles_without_exits_oracle(g), to_text(g)
+        assert extreme_cycles(g) == extreme_cycles_oracle(g), to_text(g)
