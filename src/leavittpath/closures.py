@@ -110,7 +110,6 @@ def hs_closure(g: Graph, X) -> HereditarySet:
     seed = _members_of(X)
     g.check_vertices(seed)
     tree = reachable(g, seed)
-    n = len(g.vertices)
     reg_vs = []
     reg_targets = []
     for v in g.vertices:
@@ -118,7 +117,7 @@ def hs_closure(g: Graph, X) -> HereditarySet:
             reg_vs.append(g.index(v))
             reg_targets.append(g.mask_of(g.targets(v)))
     mask, rounds = _kernel.saturation_fixpoint(
-        n, g.mask_of(tree), reg_vs, reg_targets
+        g.mask_of(tree), reg_vs, reg_targets
     )
     members = g.set_of(mask)
     result = HereditarySet(

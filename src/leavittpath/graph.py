@@ -212,17 +212,19 @@ class Graph:
             v for i, v in enumerate(self._vertices) if mask >> i & 1
         )
 
-    def adjacency_masks(self) -> list[int]:
-        masks = [0] * len(self._vertices)
-        for b in self._bundles:
-            masks[self._index[b.source]] |= 1 << self._index[b.target]
-        return masks
-
     def reach_masks(self) -> list[int]:
-        """Per-vertex reflexive-transitive reachability masks (cached)."""
+        """Per-vertex reflexive-transitive reachability masks (cached).
+
+        Read off the cached condensation: every vertex of an SCC reaches
+        exactly what the SCC reaches in the component DAG.
+        """
         if self._reach_cache is None:
-            n = len(self._vertices)
-            self._reach_cache = _kernel.reach_masks(n, self.adjacency_masks())
+            cond = condense(self)
+            comp_masks = [0] * len(cond.sccs)
+            for i, v in enumerate(self._vertices):
+                comp_masks[cond.scc_of[v]] |= 1 << i
+            reach = _kernel.reach_masks(comp_masks, cond.dag)
+            self._reach_cache = [reach[cond.scc_of[v]] for v in self._vertices]
         return self._reach_cache
 
     # -- equality / hashing -------------------------------------------------

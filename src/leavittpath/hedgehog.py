@@ -167,20 +167,33 @@ def _enumerate_paths(g: Graph, mid, final, depth_limit) -> list[tuple[str, ...]]
         final_from.setdefault(b.source, []).append(b)
     out: list[tuple[str, ...]] = []
 
-    def extend(u: str, prefix: list[str]) -> None:
+    def visit(u: str, prefix: list[str]):
+        """Emit ``prefix`` plus each final instance leaving u; return the
+        (instance, target) mid steps that extend ``prefix`` from u."""
         if depth_limit is not None and len(prefix) >= depth_limit:
-            return
+            return iter(())
         for b in final_from.get(u, ()):
             for inst in b.instances:
-                out.append(tuple(prefix + [inst]))
-        for b in mid_from.get(u, ()):
-            for inst in b.instances:
-                prefix.append(inst)
-                extend(b.target, prefix)
-                prefix.pop()
+                out.append((*prefix, inst))
+        return iter(
+            [(inst, b.target) for b in mid_from.get(u, ()) for inst in b.instances]
+        )
 
+    # Depth-first with an explicit stack, so long paths need no recursion;
+    # stack[k] holds the remaining steps after prefix[:k].
     for u in sorted(usable):
-        extend(u, [])
+        prefix: list[str] = []
+        stack = [visit(u, prefix)]
+        while stack:
+            step = next(stack[-1], None)
+            if step is None:
+                stack.pop()
+                if prefix:
+                    prefix.pop()
+                continue
+            inst, target = step
+            prefix.append(inst)
+            stack.append(visit(target, prefix))
     return out
 
 

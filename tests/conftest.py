@@ -3,10 +3,10 @@ import pathlib
 import pytest
 
 from leavittpath import parse_graph
-from leavittpath.fixtures import FIXTURE_TEXTS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES_DIR = ROOT / "fixtures"
+FIXTURE_NAMES = tuple(sorted(p.stem for p in FIXTURES_DIR.glob("*.lpa")))
 
 
 @pytest.fixture
@@ -15,7 +15,9 @@ def fixtures_dir() -> pathlib.Path:
 
 
 def fixture_graph(name: str):
-    return parse_graph(FIXTURE_TEXTS[name])
+    return parse_graph(
+        (FIXTURES_DIR / f"{name}.lpa").read_text(encoding="utf-8")
+    )
 
 
 def fixture_path(name: str) -> str:

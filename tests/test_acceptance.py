@@ -32,12 +32,11 @@ from leavittpath import (
     v_H_element,
 )
 from leavittpath import cli
-from leavittpath.fixtures import FIXTURE_TEXTS, all_fixture_graphs, line_n
 from leavittpath.random_graphs import enumerate_graphs, random_graphs, sample_graphs
 from leavittpath.selftest import check_invariants, check_maximality, check_oracles
 from leavittpath.terms import AlgebraElement, _out_instances
 
-from conftest import fixture_graph, fixture_path
+from conftest import FIXTURE_NAMES, fixture_graph, fixture_path
 
 
 def announce(capsys, num, verdict, detail):
@@ -200,7 +199,7 @@ def _check_relations(g):
 
 def test_criterion_7_term_engine(capsys):
     with criterion(capsys, 7, "relations, v^H idempotents, counts, associativity"):
-        for name, g in all_fixture_graphs().items():
+        for g in map(fixture_graph, FIXTURE_NAMES):
             _check_relations(g)
 
         # (v^H)^2 = v^H for every breaking vertex found in graphs <= 6 vertices
@@ -223,7 +222,7 @@ def test_criterion_7_term_engine(capsys):
 
         # normal-form monomial counts for the line fixtures
         for n, expected in ((2, 4), (3, 9), (4, 16)):
-            g = line_n(n)
+            g = fixture_graph(f"line{n}")
             paths = [((), v) for v in g.vertices]
             for i in range(1, n):
                 for j in range(i, n):
@@ -250,7 +249,7 @@ def test_criterion_7_term_engine(capsys):
         # associativity sampling
         rng = random.Random(20240818)
         pool = []
-        for name, g in all_fixture_graphs().items():
+        for g in map(fixture_graph, FIXTURE_NAMES):
             gens = [AlgebraElement.vertex(g, v) for v in g.vertices]
             for b in g.bundles:
                 if b.is_omega:
@@ -282,7 +281,7 @@ def test_criterion_7_term_engine(capsys):
 def test_criterion_8_determinism(capsys):
     with criterion(capsys, 8, "byte-identical reports matching goldens"):
         golden_dir = os.path.join(os.path.dirname(__file__), "golden")
-        for name in FIXTURE_TEXTS:
+        for name in FIXTURE_NAMES:
             with open(
                 os.path.join(golden_dir, f"report_{name}.json"),
                 encoding="utf-8",

@@ -13,10 +13,9 @@ from leavittpath import (
     to_dot,
     to_text,
 )
-from leavittpath.fixtures import FIXTURE_TEXTS
 from leavittpath.graph import instance_id, parse_instance
 
-from conftest import fixture_graph
+from conftest import FIXTURE_NAMES, fixture_graph
 
 
 def test_parse_basic():
@@ -76,8 +75,8 @@ def test_vertex_kinds():
 
 
 def test_roundtrip_canonical_text():
-    for name, text in FIXTURE_TEXTS.items():
-        g = parse_graph(text)
+    for name in FIXTURE_NAMES:
+        g = fixture_graph(name)
         assert parse_graph(to_text(g)) == g, name
 
 
@@ -92,6 +91,15 @@ def test_reachable():
     assert reachable(g, ("v2",)) == ("v2", "v3")
     assert reachable(g, ("v1",)) == ("v1", "v2", "v3", "v4")
     assert reachable(g, ()) == ()
+
+
+def test_reach_masks_long_cycle():
+    n = 3000
+    text = f"vertices {' '.join(f'v{i}' for i in range(n))}\n" + "".join(
+        f"edge e{i} v{i} v{(i + 1) % n}\n" for i in range(n)
+    )
+    g = parse_graph(text)
+    assert g.reach_masks() == [(1 << n) - 1] * n
 
 
 def test_condensation_terminal_and_trivial():

@@ -96,3 +96,16 @@ def test_hedgehog_dot_export_quotes_path_vertices():
     hh = build_hedgehog(g, ("v3",), ())
     dot = to_dot(hh.base)
     assert '"p:e1.e2"' in dot
+
+
+def test_long_chain_paths_need_no_recursion():
+    # one F1 path from each chain vertex into H = {h}; longer than the
+    # interpreter's default recursion limit
+    n = 1100
+    text = f"vertices h {' '.join(f'v{i}' for i in range(n))}\n" + "".join(
+        f"edge e{i} v{i} {f'v{i + 1}' if i + 1 < n else 'h'}\n" for i in range(n)
+    )
+    hh = build_hedgehog(parse_graph(text), ("h",), ())
+    assert hh.finite
+    assert len(hh.path_vertex_table) == n
+    assert max(map(len, hh.path_vertex_table.values())) == n

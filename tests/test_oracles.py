@@ -13,10 +13,13 @@ import pytest
 
 from leavittpath import (
     OMEGA,
+    condense,
     csp_class,
     cycles_without_exits,
     extreme_cycles,
+    hs_closure,
     parse_graph,
+    reachable,
     to_text,
 )
 from leavittpath.oracles import (
@@ -29,6 +32,7 @@ from leavittpath.oracles import (
     line_points_oracle,
     pprime_classes_oracle,
     properly_infinite_subsets_oracle,
+    reach_sets,
     simple_cycles,
     sccs_oracle,
 )
@@ -143,7 +147,14 @@ def _omega_sweep_codes():
 def test_csp_and_cycle_sets_match_oracles_with_omega():
     for n, code in _omega_sweep_codes():
         g = _graph_from_code(n, code)
+        reach = reach_sets(g)
         for v in g.vertices:
             assert csp_class(g, v) == csp_class_oracle(g, v), to_text(g)
+            assert reachable(g, (v,)) == tuple(sorted(reach[v])), to_text(g)
+            assert hs_closure(g, {v}).members == tuple(
+                sorted(hs_closure_oracle(g, {v}))
+            ), to_text(g)
+        sccs = tuple(frozenset(c) for c in condense(g).sccs)
+        assert sccs == sccs_oracle(g), to_text(g)
         assert cycles_without_exits(g) == cycles_without_exits_oracle(g), to_text(g)
         assert extreme_cycles(g) == extreme_cycles_oracle(g), to_text(g)

@@ -1,9 +1,5 @@
-import os
 import random
-import subprocess
-import sys
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +13,6 @@ from leavittpath import (
     parse_graph,
     to_text,
 )
-from leavittpath._kernel import IMPLEMENTATION, _kernel_py
 from leavittpath.ideals import largest_ideals_report
 from leavittpath.terms import AlgebraElement
 
@@ -122,61 +117,3 @@ def test_star_antihomomorphism(g, seed):
     b_ = rng.choice(gens) - rng.choice(gens) * rng.choice(gens)
     assert (a * b_).star() == b_.star() * a.star()
 
-
-# -- kernel cross-checks -----------------------------------------------------
-
-
-def _random_adjacency(rng, n):
-    return [
-        sum(1 << j for j in range(n) if rng.random() < 0.3) for i in range(n)
-    ]
-
-
-@pytest.mark.skipif(
-    IMPLEMENTATION != "compiled", reason="compiled kernels unavailable"
-)
-def test_kernels_pure_vs_compiled():
-    from leavittpath import _speedups
-
-    rng = random.Random(20240817)
-    for _ in range(200):
-        n = rng.randint(1, 16)
-        adj = _random_adjacency(rng, n)
-        assert _speedups.reach_masks(n, adj) == _kernel_py.reach_masks(n, adj)
-
-        indptr = [0]
-        indices = []
-        for mask in adj:
-            indices.extend(j for j in range(n) if mask >> j & 1)
-            indptr.append(len(indices))
-        assert _speedups.scc_labels(n, indptr, indices) == _kernel_py.scc_labels(
-            n, indptr, indices
-        )
-
-        reg_vs = [i for i in range(n) if adj[i] and rng.random() < 0.8]
-        reg_targets = [adj[i] for i in reg_vs]
-        start = sum(1 << i for i in range(n) if rng.random() < 0.3)
-        assert _speedups.saturation_fixpoint(
-            n, start, reg_vs, reg_targets
-        ) == _kernel_py.saturation_fixpoint(n, start, reg_vs, reg_targets)
-
-
-def test_pure_fallback_env_var():
-    """LEAVITTPATH_PURE=1 forces the pure kernels and results agree."""
-    code = (
-        "from leavittpath._kernel import IMPLEMENTATION\n"
-        "import leavittpath as lp\n"
-        "from leavittpath.fixtures import FIXTURE_TEXTS\n"
-        "g = lp.parse_graph(FIXTURE_TEXTS['six'])\n"
-        "c = lp.classify(g)\n"
-        "print(IMPLEMENTATION)\n"
-        "print(','.join(c.p_ppi))\n"
-    )
-    env = dict(os.environ, LEAVITTPATH_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-    assert out.returncode == 0, out.stderr
-    lines = out.stdout.splitlines()
-    assert lines[0] == "pure"
-    assert lines[1] == "v2,v3,v4,w1"
