@@ -104,23 +104,28 @@ def scc_labels(n: int, indptr: list[int], indices: list[int]) -> list[int]:
     return labels
 
 
-def saturation_fixpoint(
-    mask: int, reg_vs: list[int], reg_targets: list[int]
-) -> tuple[int, int]:
+def saturation_step(mask: int, regular) -> int:
+    """Vertices that one saturation step adds to ``mask``.
+
+    ``regular`` lists (vertex, out-target mask) pairs of the regular
+    vertices.  The step adds, simultaneously, every regular vertex outside
+    the set whose targets all lie inside.
+    """
+    added = 0
+    for v, targets in regular:
+        if not mask >> v & 1 and not targets & ~mask:
+            added |= 1 << v
+    return added
+
+
+def saturation_fixpoint(mask: int, regular) -> tuple[int, int]:
     """Iterate the saturation step to a fixpoint.
 
-    ``reg_vs`` lists the regular vertices, ``reg_targets`` their out-target
-    masks (same order).  One round adds, simultaneously, every regular vertex
-    outside the set whose targets all lie inside.  Returns the fixpoint mask
-    and the number of rounds that grew the set.
+    Returns the fixpoint mask and the number of steps that grew the set.
     """
     rounds = 0
     while True:
-        added = 0
-        for v, targets in zip(reg_vs, reg_targets):
-            bit = 1 << v
-            if not mask & bit and not targets & ~mask:
-                added |= bit
+        added = saturation_step(mask, regular)
         if not added:
             return mask, rounds
         mask |= added

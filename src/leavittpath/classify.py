@@ -25,15 +25,16 @@ from .closures import (
     is_saturated,
 )
 from .errors import InvariantViolation
-from .graph import OMEGA, Graph, condense, to_text
+from .graph import OMEGA, Graph, condense, per_graph, to_text
 
 CSP_ZERO = "Zero"
 CSP_ONE = "One"
 CSP_TWO_PLUS = "TwoPlus"
 
 
+@per_graph
 def _scc_csp_classes(g: Graph) -> tuple[str, ...]:
-    """CSP class of each SCC of condense(g), by component id (cached).
+    """CSP class of each SCC of condense(g), by component id (memoized).
 
     Every closed path based at v stays inside v's SCC.  A trivial SCC has
     none (Zero).  A non-trivial SCC whose internal edge instances number
@@ -42,23 +43,18 @@ def _scc_csp_classes(g: Graph) -> tuple[str, ...]:
     path v -> s(e), then e, then the shortest path r(e) -> v, is a second
     closed simple path (TwoPlus).
     """
-    cached = g._analysis_cache.get("scc_csp")
-    if cached is not None:
-        return cached
     cond = condense(g)
     internal = [0] * len(cond.sccs)
     for b in g.bundles:
         c = cond.scc_of[b.source]
         if c == cond.scc_of[b.target]:
             internal[c] += math.inf if b.mult is OMEGA else b.mult
-    out = tuple(
+    return tuple(
         CSP_ZERO if cond.trivial[i]
         else CSP_ONE if internal[i] == len(scc)
         else CSP_TWO_PLUS
         for i, scc in enumerate(cond.sccs)
     )
-    g._analysis_cache["scc_csp"] = out
-    return out
 
 
 def csp_class(g: Graph, v: str) -> str:
@@ -139,6 +135,7 @@ def b_infinity(g: Graph) -> tuple[str, ...]:
     )
 
 
+@per_graph
 def properly_infinite(g: Graph) -> tuple[str, ...]:
     """Properly infinite vertices: v lies in the closure of its TwoPlus tree.
 
@@ -147,9 +144,6 @@ def properly_infinite(g: Graph) -> tuple[str, ...]:
     to the existential over finite subsets because the closure operator is
     monotone.
     """
-    cached = g._analysis_cache.get("p_pi")
-    if cached is not None:
-        return cached
     csp = csp_classes(g)
     two_mask = g.mask_of(v for v in g.vertices if csp[v] == CSP_TWO_PLUS)
     reach = g.reach_masks()
@@ -161,11 +155,10 @@ def properly_infinite(g: Graph) -> tuple[str, ...]:
             closures[wmask] = set(hs_closure(g, g.set_of(wmask)).members)
         if v in closures[wmask]:
             result.append(v)
-    out = tuple(sorted(result))
-    g._analysis_cache["p_pi"] = out
-    return out
+    return tuple(sorted(result))
 
 
+@per_graph
 def p_ppi(g: Graph) -> tuple[str, ...]:
     """Vertices with a properly infinite, breaking-vertex-free tree (P_ppi).
 
@@ -175,9 +168,6 @@ def p_ppi(g: Graph) -> tuple[str, ...]:
     extreme cycles that an external emitter pours into, and the P_ec ⊆ P_ppi
     containment would fail.)
     """
-    cached = g._analysis_cache.get("p_ppi")
-    if cached is not None:
-        return cached
     pi_mask = g.mask_of(properly_infinite(g))
     capable_mask = g.mask_of(breaking_capable(g))
     reach = g.reach_masks()
@@ -194,7 +184,6 @@ def p_ppi(g: Graph) -> tuple[str, ...]:
             f"P_ppi = {sorted(members)} is not hereditary+saturated",
             graph_text=to_text(g),
         )
-    g._analysis_cache["p_ppi"] = out
     return out
 
 
@@ -266,11 +255,9 @@ class Classification:
     condition_L: bool
 
 
+@per_graph
 def classify(g: Graph) -> Classification:
     """Run every classifier and cross-check the structural invariants."""
-    cached = g._analysis_cache.get("classification")
-    if cached is not None:
-        return cached
     ec_prime, pec, prime = split_ppi(g)
     result = Classification(
         p_l=line_points(g),
@@ -288,7 +275,6 @@ def classify(g: Graph) -> Classification:
         condition_L=condition_L(g),
     )
     _check_classification(g, result)
-    g._analysis_cache["classification"] = result
     return result
 
 
@@ -314,3 +300,5 @@ def _check_classification(g: Graph, c: Classification) -> None:
         fail("Condition (L) disagrees with P_c")
     if c.condition_K != (set(c.p_K) == set(g.vertices)):
         fail("Condition (K) disagrees with P_(K)")
+    if not is_hereditary(g, c.p_K) or not is_saturated(g, c.p_K):
+        fail("P_(K) is not hereditary+saturated")

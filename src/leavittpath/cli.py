@@ -32,8 +32,19 @@ SCHEMA_VERSION = "1"
 
 
 def _read_graph(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # lines as parse_graph splits them; the bad byte is the sentinel "?"
+        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
+        raise GraphSyntaxError(
+            f"invalid UTF-8 byte 0x{data[exc.start]:02x}",
+            len(lines),
+            len(lines[-1]),
+        ) from None
+    return parse_graph(text)
 
 
 def _envelope(g: Graph, payload: dict) -> dict:
@@ -75,10 +86,8 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def cmd_classify(args) -> int:
-    g = _read_graph(args.file)
-    c = classify(g)
-    payload = {
+def _classification_payload(c) -> dict:
+    return {
         "p_l": list(c.p_l),
         "p_c": list(c.p_c),
         "p_ec": list(c.p_ec),
@@ -93,7 +102,11 @@ def cmd_classify(args) -> int:
         "condition_k": c.condition_K,
         "condition_l": c.condition_L,
     }
-    _emit(_envelope(g, payload), args.pretty)
+
+
+def cmd_classify(args) -> int:
+    g = _read_graph(args.file)
+    _emit(_envelope(g, _classification_payload(classify(g))), args.pretty)
     return 0
 
 
@@ -146,22 +159,9 @@ def _cycle_class_payload(c) -> dict:
 
 
 def report_payload(g: Graph) -> dict:
-    c = classify(g)
     r = largest_ideals_report(g)
     return {
-        "p_l": list(c.p_l),
-        "p_c": list(c.p_c),
-        "p_ec": list(c.p_ec),
-        "p_binf": list(c.p_binf),
-        "p_pi": list(c.p_pi),
-        "p_ppi": list(c.p_ppi),
-        "p_ec_prime": list(c.p_ec_prime),
-        "p_pec": list(c.p_pec),
-        "p_prime": list(c.p_prime),
-        "p_k": list(c.p_K),
-        "p_ex": list(c.p_ex),
-        "condition_k": c.condition_K,
-        "condition_l": c.condition_L,
+        **_classification_payload(classify(g)),
         "semisimple_gens": list(r.semisimple_gens),
         "loc_noetherian_gens": list(r.loc_noetherian_gens),
         "loc_noetherian_no_min_idem_gens": list(r.loc_noetherian_no_min_idem_gens),

@@ -16,7 +16,17 @@ from dataclasses import dataclass, field
 
 from . import _kernel
 from .errors import GraphValidationError, InvariantViolation
-from .graph import OMEGA, Graph, reachable, to_text
+from .graph import OMEGA, Graph, per_graph, reachable, to_text
+
+
+@per_graph
+def _regular_targets(g: Graph) -> tuple[tuple[int, int], ...]:
+    """(vertex index, target mask) of each Regular vertex, for saturation."""
+    return tuple(
+        (i, g.mask_of(g.targets(v)))
+        for i, v in enumerate(g.vertices)
+        if g.is_regular(v)
+    )
 
 
 def is_hereditary(g: Graph, members) -> bool:
@@ -26,13 +36,7 @@ def is_hereditary(g: Graph, members) -> bool:
 
 
 def is_saturated(g: Graph, members) -> bool:
-    members = set(members)
-    g.check_vertices(members)
-    for v in g.vertices:
-        if v not in members and g.is_regular(v):
-            if all(t in members for t in g.targets(v)):
-                return False
-    return True
+    return not _kernel.saturation_step(g.mask_of(members), _regular_targets(g))
 
 
 @dataclass(frozen=True)
@@ -43,14 +47,6 @@ class HereditarySet:
     is_hereditary: bool
     is_saturated: bool
     rounds: int | None = field(default=None, compare=False)
-
-    @staticmethod
-    def certify(g: Graph, members) -> "HereditarySet":
-        members = tuple(sorted(set(members)))
-        g.check_vertices(members)
-        return HereditarySet(
-            members, is_hereditary(g, members), is_saturated(g, members)
-        )
 
     def __contains__(self, v) -> bool:
         return v in set(self.members)
@@ -79,26 +75,10 @@ class BreakingSet:
         return iter(self.members)
 
 
-def _members_of(X) -> tuple[str, ...]:
-    if isinstance(X, HereditarySet):
-        return X.members
-    if isinstance(X, BreakingSet):
-        return X.members
-    return tuple(X)
-
-
 def saturate_once(g: Graph, X) -> tuple[str, ...]:
     """One saturation step: X plus every Regular vertex emitting only into X."""
-    members = set(_members_of(X))
-    g.check_vertices(members)
-    added = {
-        v
-        for v in g.vertices
-        if v not in members
-        and g.is_regular(v)
-        and all(t in members for t in g.targets(v))
-    }
-    return tuple(sorted(members | added))
+    mask = g.mask_of(X)
+    return g.set_of(mask | _kernel.saturation_step(mask, _regular_targets(g)))
 
 
 def hs_closure(g: Graph, X) -> HereditarySet:
@@ -107,17 +87,10 @@ def hs_closure(g: Graph, X) -> HereditarySet:
     Tree step once, then simultaneous saturation passes to a fixpoint;
     ``rounds`` on the result counts the passes that grew the set.
     """
-    seed = _members_of(X)
-    g.check_vertices(seed)
+    seed = tuple(X)
     tree = reachable(g, seed)
-    reg_vs = []
-    reg_targets = []
-    for v in g.vertices:
-        if g.is_regular(v):
-            reg_vs.append(g.index(v))
-            reg_targets.append(g.mask_of(g.targets(v)))
     mask, rounds = _kernel.saturation_fixpoint(
-        g.mask_of(tree), reg_vs, reg_targets
+        g.mask_of(tree), _regular_targets(g)
     )
     members = g.set_of(mask)
     result = HereditarySet(
@@ -137,7 +110,7 @@ def hs_closure(g: Graph, X) -> HereditarySet:
 
 def breaking_vertices(g: Graph, H) -> BreakingSet:
     """Breaking vertices of the hereditary set H, with outside-edge counts."""
-    members = set(_members_of(H))
+    members = set(H)
     if not is_hereditary(g, members):
         raise GraphValidationError("H is not hereditary")
     found = []
@@ -194,7 +167,7 @@ def breaking_capable(g: Graph) -> tuple[str, ...]:
 
 def restriction_graph(g: Graph, H) -> Graph:
     """Subgraph on the hereditary set H with all bundles sourced in H."""
-    members = set(_members_of(H))
+    members = set(H)
     if not is_hereditary(g, members):
         raise GraphValidationError("H is not hereditary")
     return Graph(
@@ -220,7 +193,7 @@ def density_check(g: Graph, X) -> DensityResult:
     X may be any vertex set (the classifier union this is applied to is not
     hereditary in general).
     """
-    members = set(_members_of(X))
+    members = set(X)
     g.check_vertices(members)
     dist: dict[str, int] = {v: 0 for v in sorted(members)}
     frontier = sorted(members)

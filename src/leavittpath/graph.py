@@ -11,6 +11,7 @@ Everything here is immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 from dataclasses import dataclass
@@ -89,6 +90,26 @@ class EdgeBundle:
         return f"EdgeBundle({self.id}: {self.source}->{self.target} x{self.mult!r})"
 
 
+def per_graph(fn):
+    """Compute ``fn(g)`` once per graph and keep it in the graph's memo.
+
+    Every derived structure of a graph (condensation, reach masks, the
+    classifier sets) is a pure function of the immutable graph, so it is
+    computed on first use and shared by every later caller.
+    """
+
+    key = f"{fn.__module__}.{fn.__qualname__}"
+
+    @functools.wraps(fn)
+    def memoized(g):
+        memo = g._memo
+        if key not in memo:
+            memo[key] = fn(g)
+        return memo[key]
+
+    return memoized
+
+
 class Graph:
     """Immutable directed graph with multiplicity-carrying edge bundles."""
 
@@ -129,8 +150,16 @@ class Graph:
             inc[b.target].append(b)
         self._out = {v: tuple(lst) for v, lst in out.items()}
         self._in = {v: tuple(lst) for v, lst in inc.items()}
-        self._reach_cache = None
-        self._analysis_cache: dict = {}
+        self._kind = {
+            v: INFINITE_EMITTER if any(b.mult is OMEGA for b in lst)
+            else REGULAR if lst
+            else SINK
+            for v, lst in out.items()
+        }
+        self._targets = {
+            v: tuple(sorted({b.target for b in lst})) for v, lst in out.items()
+        }
+        self._memo: dict = {}
 
     # -- basic accessors ---------------------------------------------------
 
@@ -177,10 +206,8 @@ class Graph:
         return total
 
     def kind(self, v: str) -> str:
-        out = self.out_bundles(v)
-        if any(b.mult is OMEGA for b in out):
-            return INFINITE_EMITTER
-        return SINK if not out else REGULAR
+        self.check_vertices((v,))
+        return self._kind[v]
 
     def is_regular(self, v: str) -> bool:
         return self.kind(v) == REGULAR
@@ -193,7 +220,8 @@ class Graph:
 
     def targets(self, v: str) -> tuple[str, ...]:
         """Distinct targets of v's out-bundles, sorted."""
-        return tuple(sorted({b.target for b in self.out_bundles(v)}))
+        self.check_vertices((v,))
+        return self._targets[v]
 
     # -- bitmask plumbing (used by the analysis modules) -------------------
 
@@ -212,20 +240,19 @@ class Graph:
             v for i, v in enumerate(self._vertices) if mask >> i & 1
         )
 
+    @per_graph
     def reach_masks(self) -> list[int]:
-        """Per-vertex reflexive-transitive reachability masks (cached).
+        """Per-vertex reflexive-transitive reachability masks (memoized).
 
-        Read off the cached condensation: every vertex of an SCC reaches
-        exactly what the SCC reaches in the component DAG.
+        Read off the condensation: every vertex of an SCC reaches exactly
+        what the SCC reaches in the component DAG.
         """
-        if self._reach_cache is None:
-            cond = condense(self)
-            comp_masks = [0] * len(cond.sccs)
-            for i, v in enumerate(self._vertices):
-                comp_masks[cond.scc_of[v]] |= 1 << i
-            reach = _kernel.reach_masks(comp_masks, cond.dag)
-            self._reach_cache = [reach[cond.scc_of[v]] for v in self._vertices]
-        return self._reach_cache
+        cond = condense(self)
+        comp_masks = [0] * len(cond.sccs)
+        for i, v in enumerate(self._vertices):
+            comp_masks[cond.scc_of[v]] |= 1 << i
+        reach = _kernel.reach_masks(comp_masks, cond.dag)
+        return [reach[cond.scc_of[v]] for v in self._vertices]
 
     # -- equality / hashing -------------------------------------------------
 
@@ -263,29 +290,27 @@ class Condensation:
         )
 
 
+@per_graph
 def condense(g: Graph) -> Condensation:
-    """Strongly connected components, flags, and the component DAG (cached)."""
-    cached = g._analysis_cache.get("condensation")
-    if cached is not None:
-        return cached
-    n = len(g.vertices)
+    """Strongly connected components, their flags and the DAG (memoized)."""
+    index = g._index
     indptr = [0]
     indices: list[int] = []
     for v in g.vertices:
-        succ = sorted(g.index(t) for t in g.targets(v))
-        indices.extend(succ)
+        # targets are sorted by name, and index order is name order
+        indices.extend(index[t] for t in g._targets[v])
         indptr.append(len(indices))
-    labels = _kernel.scc_labels(n, indptr, indices)
+    labels = _kernel.scc_labels(len(g.vertices), indptr, indices)
     ncomp = max(labels) + 1 if labels else 0
     members: list[list[str]] = [[] for _ in range(ncomp)]
-    for v in g.vertices:
-        members[labels[g.index(v)]].append(v)
-    sccs = tuple(tuple(sorted(m)) for m in members)
+    for i, v in enumerate(g.vertices):
+        members[labels[i]].append(v)
+    sccs = tuple(tuple(m) for m in members)
     dag_sets: list[set[int]] = [set() for _ in range(ncomp)]
     has_self_bundle = [False] * ncomp
     for b in g.bundles:
-        cs = labels[g.index(b.source)]
-        ct = labels[g.index(b.target)]
+        cs = labels[index[b.source]]
+        ct = labels[index[b.target]]
         if cs == ct:
             if b.source == b.target:
                 has_self_bundle[cs] = True
@@ -296,15 +321,13 @@ def condense(g: Graph) -> Condensation:
     )
     terminal = tuple(not dag_sets[i] for i in range(ncomp))
     dag = tuple(tuple(sorted(s)) for s in dag_sets)
-    cond = Condensation(
-        scc_of={v: labels[g.index(v)] for v in g.vertices},
+    return Condensation(
+        scc_of=dict(zip(g.vertices, labels)),
         sccs=sccs,
         dag=dag,
         trivial=trivial,
         terminal=terminal,
     )
-    g._analysis_cache["condensation"] = cond
-    return cond
 
 
 def reachable(g: Graph, frm) -> tuple[str, ...]:

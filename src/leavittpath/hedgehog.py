@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .closures import breaking_vertices, is_hereditary
 from .errors import GraphValidationError
-from .graph import OMEGA, EdgeBundle, Graph
+from .graph import OMEGA, EdgeBundle, Graph, condense
 
 
 @dataclass(frozen=True)
@@ -87,58 +87,23 @@ def _route_bundles(g: Graph, hset: set, sset: set):
 
 def _can_finish(g: Graph, mid, final) -> set:
     """Vertices from which some admissible final edge is reachable via mids."""
-    seeds = {b.source for b in final}
-    back: dict[str, set] = {}
-    for b in mid:
-        back.setdefault(b.target, set()).add(b.source)
-    todo = sorted(seeds)
-    seen = set(seeds)
-    while todo:
-        w = todo.pop()
-        for u in back.get(w, ()):
-            if u not in seen:
-                seen.add(u)
-                todo.append(u)
-    return seen
+    route = Graph(g.vertices, mid)
+    goal = route.mask_of({b.source for b in final})
+    return {
+        v for v, reach in zip(route.vertices, route.reach_masks()) if reach & goal
+    }
 
 
 def _f_set_is_finite(g: Graph, mid, final) -> bool:
     if any(b.mult is OMEGA for b in final):
         return False
     usable = _can_finish(g, mid, final)
-    for b in mid:
-        if b.mult is OMEGA and b.target in usable:
-            return False
+    # A mid bundle into a usable vertex starts at a usable vertex too.
+    route = [b for b in mid if b.target in usable]
+    if any(b.mult is OMEGA for b in route):
+        return False
     # A cycle among usable route vertices pumps arbitrarily long paths.
-    fwd = {u: set() for u in usable}
-    for b in mid:
-        if b.source in usable and b.target in usable:
-            if b.source == b.target:
-                return False
-            fwd[b.source].add(b.target)
-    # Depth-first cycle check on the (small) usable subgraph.
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {u: WHITE for u in usable}
-    for root in sorted(usable):
-        if color[root] != WHITE:
-            continue
-        stack = [(root, iter(sorted(fwd[root])))]
-        color[root] = GRAY
-        while stack:
-            u, it = stack[-1]
-            moved = False
-            for w in it:
-                if color[w] == GRAY:
-                    return False
-                if color[w] == WHITE:
-                    color[w] = GRAY
-                    stack.append((w, iter(sorted(fwd[w]))))
-                    moved = True
-                    break
-            if not moved:
-                color[u] = BLACK
-                stack.pop()
-    return True
+    return all(condense(Graph(usable, route)).trivial)
 
 
 def hedgehog_is_finite(g: Graph, H, S) -> bool:

@@ -200,7 +200,7 @@ def largest_ideals_report(g: Graph) -> LargestIdealsReport:
         raise InvariantViolation(
             "four-set union failed the density check", to_text(g)
         )
-    breaking = breaking_vertices(g, hs_closure(g, cls.p_K))
+    breaking = breaking_vertices(g, cls.p_K)
     exchange_breaking = tuple(
         (v, breaking.outside_counts[v]) for v in breaking.members
     )

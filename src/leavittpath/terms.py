@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .closures import breaking_vertices
 from .errors import ExpressionError, GraphValidationError
-from .graph import OMEGA, Graph, parse_instance
+from .graph import OMEGA, Graph, parse_instance, per_graph
 
 
 def _inst_bundle(g: Graph, inst: str):
@@ -99,15 +99,22 @@ def make_monomial(g: Graph, real, ghost, anchor=None) -> Monomial:
     return Monomial(real, ghost, derived)
 
 
+@per_graph
+def _out_instance_table(g: Graph) -> dict:
+    """Per-vertex table for _out_instances, filled on demand: a vertex the
+    engine never rewrites at may carry a bundle too big to expand."""
+    return {}
+
+
 def _out_instances(g: Graph, v: str) -> tuple[str, ...]:
     """Edge instances leaving the Regular vertex v, in canonical order."""
-    cache = g._analysis_cache.setdefault("out_instances", {})
-    if v not in cache:
+    table = _out_instance_table(g)
+    if v not in table:
         insts = []
         for b in sorted(g.out_bundles(v), key=lambda b: b.id):
             insts.extend(b.instances)
-        cache[v] = tuple(insts)
-    return cache[v]
+        table[v] = tuple(insts)
+    return table[v]
 
 
 def special_edge(g: Graph, v: str) -> str:

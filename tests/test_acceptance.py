@@ -2,10 +2,10 @@
 
 Run with plain ``pytest tests/test_acceptance.py``; the ACCEPTANCE lines
 are printed straight to the terminal, bypassing capture, so the verdicts
-are visible in any mode.  Criterion 5's exhaustive 4-vertex sweep (43M
-graphs at about 1.3 ms each, so about 15 h) is gated behind
-LPA_EXHAUSTIVE_N4=1; the default tier is exhaustive up to 3 vertices plus
-a large stratified 4-vertex sample.
+are visible in any mode.  Criterion 5 is exhaustive up to 3 vertices plus
+a large stratified 4-vertex sample.  The full 4-vertex sweep (43M graphs
+at about 0.52 ms each, so about 6 h) runs the same oracle checks through
+``lpa selftest --exhaustive-n4``.
 """
 
 import itertools
@@ -133,18 +133,13 @@ def test_criterion_4_property_suite(capsys, random_pool):
 
 
 def test_criterion_5_oracle_equivalences(capsys):
-    exhaustive_n4 = bool(os.environ.get("LPA_EXHAUSTIVE_N4"))
-    tier = "full n<=4" if exhaustive_n4 else "n<=3 + stratified n=4"
-    with criterion(capsys, 5, f"oracle equivalences ({tier}, 500 random <=7)"):
+    detail = "oracle equivalences (n<=3 + stratified n=4, 500 random <=7)"
+    with criterion(capsys, 5, detail):
         for n in (1, 2, 3):
             for g in enumerate_graphs(n, max_mult=2):
                 check_oracles(g)
-        if exhaustive_n4:
-            for g in enumerate_graphs(4, max_mult=2):
-                check_oracles(g)
-        else:
-            for g in sample_graphs(4, 5000, seed=424242):
-                check_oracles(g)
+        for g in sample_graphs(4, 5000, seed=424242):
+            check_oracles(g)
         for g in random_graphs(500, seed=99, max_vertices=7):
             check_oracles(g)
 

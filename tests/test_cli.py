@@ -1,3 +1,4 @@
+import itertools
 import json
 import pathlib
 
@@ -6,6 +7,7 @@ import pytest
 
 from leavittpath import InvariantViolation
 from leavittpath import cli
+from leavittpath.random_graphs import enumerate_graphs
 
 from conftest import ROOT, fixture_path
 
@@ -218,6 +220,15 @@ def test_bad_graph_file(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_non_utf8_graph_file(tmp_path, capsys):
+    bad = tmp_path / "bad.lpa"
+    bad.write_bytes(b"vertices a\xff b\n")
+    code, out, err = run_cli(capsys, "report", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 1, column 11: invalid UTF-8 byte 0xff\n"
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as ei:
         cli.run(["classify"])  # missing file argument
@@ -243,6 +254,22 @@ def test_selftest_smoke(capsys):
     )
     assert code == 0
     assert "passed all property checks" in out
+
+
+def test_selftest_exhaustive_n4_sweeps_enumerated_graphs(capsys, monkeypatch):
+    from leavittpath import selftest
+
+    calls = []
+
+    def first_graphs(n, max_mult):
+        calls.append((n, max_mult))
+        return itertools.islice(enumerate_graphs(n, max_mult=max_mult), 40)
+
+    monkeypatch.setattr(selftest, "enumerate_graphs", first_graphs)
+    code, out, _ = run_cli(capsys, "selftest", "--cases", "1", "--exhaustive-n4")
+    assert code == 0
+    assert calls == [(4, 2)]
+    assert "exhaustive 4-vertex sweep passed (40 graphs)" in out
 
 
 def test_determinism_byte_identical(capsys):

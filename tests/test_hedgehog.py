@@ -50,6 +50,28 @@ def test_hedgehog_finiteness_predicate():
     assert not hedgehog_is_finite(fixture_graph("chain3sink"), ("v2", "v3"), ())
 
 
+def test_route_through_two_cycle_is_infinite():
+    # a <-> b pumps F1 paths a.b.a...g into H = {h}
+    g = parse_graph(
+        "vertices a b h\nedge e a b\nedge f b a\nedge g a h\nedge l h h\n"
+    )
+    assert not hedgehog_is_finite(g, ("h",), ())
+
+
+def test_diamond_route_is_finite():
+    # two routes s -> a|b -> t meet again at t without closing a cycle
+    g = parse_graph(
+        "vertices s a b t h\n"
+        "edge e1 s a\nedge e2 s b\nedge e3 a t\nedge e4 b t\nedge f t h\n"
+    )
+    assert hedgehog_is_finite(g, ("h",), ())
+    hh = build_hedgehog(g, ("h",), ())
+    assert hh.finite
+    assert sorted(hh.path_vertex_table) == [
+        "p:e1.e3.f", "p:e2.e4.f", "p:e3.f", "p:e4.f", "p:f",
+    ]
+
+
 def test_omega_final_edge_makes_f_infinite():
     g = fixture_graph("omega-h")
     assert not hedgehog_is_finite(g, ("h",), ())

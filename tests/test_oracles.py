@@ -18,8 +18,11 @@ from leavittpath import (
     cycles_without_exits,
     extreme_cycles,
     hs_closure,
+    is_hereditary,
+    is_saturated,
     parse_graph,
     reachable,
+    saturate_once,
     to_text,
 )
 from leavittpath.oracles import (
@@ -158,3 +161,35 @@ def test_csp_and_cycle_sets_match_oracles_with_omega():
         assert sccs == sccs_oracle(g), to_text(g)
         assert cycles_without_exits(g) == cycles_without_exits_oracle(g), to_text(g)
         assert extreme_cycles(g) == extreme_cycles_oracle(g), to_text(g)
+
+
+def _saturate_once_by_definition(g, X):
+    """X plus every vertex outside X with edges, none ω, all landing in X."""
+    out = set(X)
+    for v in g.vertices:
+        bundles = [b for b in g.bundles if b.source == v]
+        if (
+            v not in X
+            and bundles
+            and all(b.mult is not OMEGA and b.target in X for b in bundles)
+        ):
+            out.add(v)
+    return tuple(sorted(out))
+
+
+def test_saturation_matches_definitions_with_omega():
+    for n, code in _omega_sweep_codes():
+        g = _graph_from_code(n, code)
+        subsets = [
+            frozenset(c)
+            for k in range(n + 1)
+            for c in itertools.combinations(g.vertices, k)
+        ]
+        passing = {
+            X for X in subsets if is_hereditary(g, X) and is_saturated(g, X)
+        }
+        assert passing == set(hereditary_saturated_sets(g)), to_text(g)
+        for X in subsets:
+            assert saturate_once(g, X) == _saturate_once_by_definition(g, X), (
+                to_text(g)
+            )
