@@ -142,3 +142,51 @@ def test_instance_addressing():
         parse_instance(g, "e[3]")
     with pytest.raises(GraphValidationError):
         parse_instance(g, "m[1]")  # omega members are not addressable
+
+
+# (text, line, column, message) for every error the parser raises; the
+# two-fault lines pin which check runs first.
+PARSE_ERRORS = [
+    ("vertices a 1b", 1, 12, "invalid id '1b'"),
+    ("vertices a edge", 1, 12, "invalid id 'edge'"),
+    ("vertices a b a", 1, 14, "duplicate id 'a'"),
+    ("vertices a\nedge a a a", 2, 6, "duplicate id 'a'"),
+    ("vertices a\nedge e a a\nvertices e", 2, 6, "duplicate id 'e'"),
+    ("vertices a\nedge e a a\nedge e a a", 3, 6, "duplicate id 'e'"),
+    ("vertices a\nedge e a", 2, 9, "'edge' needs <id> <src> <dst>"),
+    ("vertices a\nedge e a   # c", 2, 9, "'edge' needs <id> <src> <dst>"),
+    ("vertices a\nbundle", 2, 7, "'bundle' needs <id> <src> <dst>"),
+    ("vertices a\nedge e a a y3", 2, 12, "expected 'x<k>' or 'omega', got 'y3'"),
+    ("vertices a\nedge e a a x", 2, 12, "expected 'x<k>' or 'omega', got 'x'"),
+    ("vertices a\nedge e a a x-1", 2, 12, "expected 'x<k>' or 'omega', got 'x-1'"),
+    ("vertices a\nedge e a a Omega", 2, 12,
+     "expected 'x<k>' or 'omega', got 'Omega'"),
+    ("vertices a\nedge e a a x0", 2, 12, "multiplicity 0"),
+    ("vertices a\nedge e a a x00", 2, 12, "multiplicity 0"),
+    ("vertices a\nedge e a a x2 z", 2, 15, "unexpected token 'z'"),
+    ("vertices a\n\tedge e a a omega x", 2, 19, "unexpected token 'x'"),
+    ("frob a", 1, 1, "expected 'vertices', 'edge' or 'bundle', got 'frob'"),
+    ("Vertices a", 1, 1,
+     "expected 'vertices', 'edge' or 'bundle', got 'Vertices'"),
+    ("vertices a\nedge e a b", 2, 10, "dangling endpoint 'b'"),
+    ("vertices a\nedge e b a", 2, 8, "dangling endpoint 'b'"),
+    ("  vertices\ta  1", 1, 15, "invalid id '1'"),
+    # two faults on one line
+    ("vertices a\nedge e b c", 2, 8, "dangling endpoint 'b'"),
+    ("vertices a\nedge 1e b c", 2, 6, "invalid id '1e'"),
+    ("vertices a\nedge 1 2 3 x0", 2, 6, "invalid id '1'"),
+    ("vertices a\nedge a a 2", 2, 10, "invalid id '2'"),
+    ("vertices a\nedge e a a x0 z", 2, 15, "unexpected token 'z'"),
+    ("vertices a\nedge e a a y z", 2, 14, "unexpected token 'z'"),
+    ("vertices a\nedge e a b\nvertices e", 2, 10, "dangling endpoint 'b'"),
+    ("vertices a\nedge e a a\nedge f a a\nvertices f e", 2, 6, "duplicate id 'e'"),
+]
+
+
+@pytest.mark.parametrize("text, line, column, message", PARSE_ERRORS)
+def test_parse_error_positions(text, line, column, message):
+    with pytest.raises(GraphSyntaxError) as ei:
+        parse_graph(text + "\n")
+    assert (ei.value.line, ei.value.column, ei.value.reason) == (
+        line, column, message,
+    )
