@@ -25,7 +25,7 @@ from .closures import (
     is_saturated,
 )
 from .errors import InvariantViolation
-from .graph import OMEGA, Graph, condense, per_graph, to_text
+from .graph import INFINITE_EMITTER, OMEGA, Graph, condense, per_graph, to_text
 
 CSP_ZERO = "Zero"
 CSP_ONE = "One"
@@ -57,6 +57,17 @@ def _scc_csp_classes(g: Graph) -> tuple[str, ...]:
     )
 
 
+def _class_mask(g: Graph, csp: str, terminal: bool = False) -> int:
+    """The vertices of CSP class ``csp``; with ``terminal``, those in
+    terminal SCCs only."""
+    cond = condense(g)
+    mask = 0
+    for c, cls in enumerate(_scc_csp_classes(g)):
+        if cls == csp and (cond.terminal[c] or not terminal):
+            mask |= cond.masks[c]
+    return mask
+
+
 def csp_class(g: Graph, v: str) -> str:
     """Classify the number of closed simple paths based at v (0 / 1 / >= 2)."""
     g.check_vertices((v,))
@@ -72,39 +83,13 @@ def csp_classes(g: Graph) -> dict:
 
 def line_points(g: Graph) -> tuple[str, ...]:
     """Vertices whose tree contains no bifurcation and no cycle (P_l)."""
-    cond = condense(g)
-    bad = 0
-    for i, scc in enumerate(cond.sccs):
-        if not cond.trivial[i]:
-            bad |= g.mask_of(scc)
-    for v in g.vertices:
-        m = g.out_multiplicity(v)
-        if m is OMEGA or m >= 2:
-            bad |= 1 << g.index(v)
-    reach = g.reach_masks()
-    return g.set_of(
-        sum(
-            1 << i
-            for i, v in enumerate(g.vertices)
-            if not reach[i] & bad
-        )
-    )
-
-
-def _terminal_sccs_of_class(g: Graph, csp: str) -> tuple[str, ...]:
-    cond = condense(g)
-    classes = _scc_csp_classes(g)
-    return tuple(sorted(
-        v
-        for i, scc in enumerate(cond.sccs)
-        if cond.terminal[i] and classes[i] == csp
-        for v in scc
-    ))
+    on_cycle = ~_class_mask(g, CSP_ZERO)
+    return g.set_of(~g.reaching(g.bifurcations | on_cycle))
 
 
 def cycles_without_exits(g: Graph) -> tuple[str, ...]:
     """Vertices on cycles without exits (P_c): terminal SCCs of class One."""
-    return _terminal_sccs_of_class(g, CSP_ONE)
+    return g.set_of(_class_mask(g, CSP_ONE, terminal=True))
 
 
 def extreme_cycles(g: Graph) -> tuple[str, ...]:
@@ -114,7 +99,7 @@ def extreme_cycles(g: Graph) -> tuple[str, ...]:
     returns, and TwoPlus means its cycles have exits.  The equivalence with
     the path-return definition is oracle-tested rather than assumed.
     """
-    return _terminal_sccs_of_class(g, CSP_TWO_PLUS)
+    return g.set_of(_class_mask(g, CSP_TWO_PLUS, terminal=True))
 
 
 def b_infinity(g: Graph) -> tuple[str, ...]:
@@ -124,15 +109,7 @@ def b_infinity(g: Graph) -> tuple[str, ...]:
     the general definition cannot fire, so reaching an ω-bundle source is the
     whole criterion.
     """
-    inf_mask = g.mask_of(v for v in g.vertices if g.is_infinite_emitter(v))
-    reach = g.reach_masks()
-    return g.set_of(
-        sum(
-            1 << i
-            for i in range(len(g.vertices))
-            if reach[i] & inf_mask
-        )
-    )
+    return g.set_of(g.reaching(g.kind_mask(INFINITE_EMITTER)))
 
 
 @per_graph
@@ -144,18 +121,16 @@ def properly_infinite(g: Graph) -> tuple[str, ...]:
     to the existential over finite subsets because the closure operator is
     monotone.
     """
-    csp = csp_classes(g)
-    two_mask = g.mask_of(v for v in g.vertices if csp[v] == CSP_TWO_PLUS)
-    reach = g.reach_masks()
+    two_mask = _class_mask(g, CSP_TWO_PLUS)
     closures: dict[int, set] = {}
     result = []
-    for v in g.vertices:
-        wmask = reach[g.index(v)] & two_mask
+    for v, reach in zip(g.vertices, g.reach_masks()):
+        wmask = reach & two_mask
         if wmask not in closures:
             closures[wmask] = set(hs_closure(g, g.set_of(wmask)).members)
         if v in closures[wmask]:
             result.append(v)
-    return tuple(sorted(result))
+    return tuple(result)
 
 
 @per_graph
@@ -168,20 +143,11 @@ def p_ppi(g: Graph) -> tuple[str, ...]:
     extreme cycles that an external emitter pours into, and the P_ec ⊆ P_ppi
     containment would fail.)
     """
-    pi_mask = g.mask_of(properly_infinite(g))
-    capable_mask = g.mask_of(breaking_capable(g))
-    reach = g.reach_masks()
-    result = []
-    for v in g.vertices:
-        tmask = reach[g.index(v)]
-        if tmask & ~pi_mask or tmask & capable_mask:
-            continue
-        result.append(v)
-    out = tuple(sorted(result))
-    members = set(out)
-    if not is_hereditary(g, members) or not is_saturated(g, members):
+    bad = ~g.mask_of(properly_infinite(g)) | g.mask_of(breaking_capable(g))
+    out = g.set_of(~g.reaching(bad))
+    if not is_hereditary(g, out) or not is_saturated(g, out):
         raise InvariantViolation(
-            f"P_ppi = {sorted(members)} is not hereditary+saturated",
+            f"P_ppi = {list(out)} is not hereditary+saturated",
             graph_text=to_text(g),
         )
     return out
@@ -193,21 +159,16 @@ def split_ppi(g: Graph) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ..
     P_ec′ = extreme-cycle vertices reachable from some vertex of
     P_ppi ∖ P_ec; P_pec = P_ec ∖ P_ec′; P′ = P_ppi ∖ P_pec.
     """
-    ec = set(extreme_cycles(g))
-    ppi = set(p_ppi(g))
-    reach = g.reach_masks()
-    seen = 0
-    for u in ppi - ec:
-        seen |= reach[g.index(u)]
-    ec_prime = tuple(sorted(v for v in ec if seen >> g.index(v) & 1))
-    pec = tuple(sorted(ec - set(ec_prime)))
-    prime = tuple(sorted(ppi - set(pec)))
-    return ec_prime, pec, prime
+    ec = _class_mask(g, CSP_TWO_PLUS, terminal=True)
+    ppi = g.mask_of(p_ppi(g))
+    seen = g.tree_mask(ppi & ~ec)
+    pec = ec & ~seen
+    return g.set_of(ec & seen), g.set_of(pec), g.set_of(ppi & ~pec)
 
 
 def condition_K(g: Graph) -> bool:
     """No vertex is the base of exactly one closed simple path."""
-    return all(c != CSP_ONE for c in csp_classes(g).values())
+    return not _class_mask(g, CSP_ONE)
 
 
 def condition_L(g: Graph) -> bool:
@@ -217,23 +178,13 @@ def condition_L(g: Graph) -> bool:
 
 def p_K(g: Graph) -> tuple[str, ...]:
     """Vertices whose whole tree is free of One-class vertices (P_(K))."""
-    csp = csp_classes(g)
-    one_mask = g.mask_of(v for v in g.vertices if csp[v] == CSP_ONE)
-    reach = g.reach_masks()
-    return g.set_of(
-        sum(
-            1 << i
-            for i in range(len(g.vertices))
-            if not reach[i] & one_mask
-        )
-    )
+    return g.set_of(~g.reaching(_class_mask(g, CSP_ONE)))
 
 
 def p_ex(g: Graph) -> tuple[str, ...]:
     """Generators of the largest exchange ideal: P_(K) ∪ B_{P_(K)}."""
     core = p_K(g)
-    extra = breaking_vertices(g, core).members
-    return tuple(sorted(set(core) | set(extra)))
+    return g.set_of(g.mask_of(core + breaking_vertices(g, core).members))
 
 
 @dataclass(frozen=True)

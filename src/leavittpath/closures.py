@@ -16,23 +16,23 @@ from dataclasses import dataclass, field
 
 from . import _kernel
 from .errors import GraphValidationError, InvariantViolation
-from .graph import OMEGA, Graph, per_graph, reachable, to_text
+from .graph import INFINITE_EMITTER, OMEGA, REGULAR, Graph, per_graph, to_text
 
 
 @per_graph
 def _regular_targets(g: Graph) -> tuple[tuple[int, int], ...]:
     """(vertex index, target mask) of each Regular vertex, for saturation."""
+    regular = g.kind_mask(REGULAR)
     return tuple(
-        (i, g.mask_of(g.targets(v)))
-        for i, v in enumerate(g.vertices)
-        if g.is_regular(v)
+        (i, targets)
+        for i, targets in enumerate(g.target_masks)
+        if regular >> i & 1
     )
 
 
 def is_hereditary(g: Graph, members) -> bool:
-    members = set(members)
-    g.check_vertices(members)
-    return all(b.target in members for b in g.bundles if b.source in members)
+    mask = g.mask_of(members)
+    return g.tree_mask(mask) == mask
 
 
 def is_saturated(g: Graph, members) -> bool:
@@ -88,15 +88,15 @@ def hs_closure(g: Graph, X) -> HereditarySet:
     ``rounds`` on the result counts the passes that grew the set.
     """
     seed = tuple(X)
-    tree = reachable(g, seed)
+    regular = _regular_targets(g)
     mask, rounds = _kernel.saturation_fixpoint(
-        g.mask_of(tree), _regular_targets(g)
+        g.tree_mask(g.mask_of(seed)), regular
     )
     members = g.set_of(mask)
     result = HereditarySet(
         members,
-        is_hereditary(g, members),
-        is_saturated(g, members),
+        g.tree_mask(mask) == mask,
+        not _kernel.saturation_step(mask, regular),
         rounds=rounds,
     )
     if not (result.is_hereditary and result.is_saturated):
@@ -113,24 +113,12 @@ def breaking_vertices(g: Graph, H) -> BreakingSet:
     members = set(H)
     if not is_hereditary(g, members):
         raise GraphValidationError("H is not hereditary")
-    found = []
     counts = {}
-    for v in g.vertices:
-        if v in members or not g.is_infinite_emitter(v):
-            continue
-        outside = 0
-        ok = True
-        for b in g.out_bundles(v):
-            if b.target in members:
-                continue
-            if b.mult is OMEGA:
-                ok = False
-                break
-            outside += b.mult
-        if ok:
-            found.append(v)
-            counts[v] = outside
-    return BreakingSet(tuple(sorted(found)), counts)
+    for v in g.set_of(g.kind_mask(INFINITE_EMITTER) & ~g.mask_of(members)):
+        escaping = [b.mult for b in g.out_bundles(v) if b.target not in members]
+        if all(m is not OMEGA for m in escaping):
+            counts[v] = sum(escaping)
+    return BreakingSet(tuple(counts), counts)
 
 
 def breaking_capable(g: Graph) -> tuple[str, ...]:
@@ -145,24 +133,16 @@ def breaking_capable(g: Graph) -> tuple[str, ...]:
     tree never witnesses the obstruction: the zero-escape case is what the
     v^H elements degenerate on, not what poisons proper infiniteness.)
     """
-    reach = g.reach_masks()
     out = []
-    for u in g.vertices:
-        if not g.is_infinite_emitter(u):
-            continue
-        wmask = 0
-        for b in g.out_bundles(u):
-            if b.mult is OMEGA:
-                wmask |= reach[g.index(b.target)]
-        if wmask >> g.index(u) & 1:
-            continue
-        escapes = any(
-            b.mult is not OMEGA and not wmask >> g.index(b.target) & 1
-            for b in g.out_bundles(u)
+    for u in g.set_of(g.kind_mask(INFINITE_EMITTER)):
+        bundles = g.out_bundles(u)
+        held = g.tree_mask(
+            g.mask_of(b.target for b in bundles if b.mult is OMEGA)
         )
-        if escapes:
+        escape = g.mask_of(b.target for b in bundles if b.mult is not OMEGA)
+        if escape & ~held and not held & g.mask_of((u,)):
             out.append(u)
-    return tuple(sorted(out))
+    return tuple(out)
 
 
 def restriction_graph(g: Graph, H) -> Graph:

@@ -43,13 +43,12 @@ SINK = "Sink"
 REGULAR = "Regular"
 INFINITE_EMITTER = "InfiniteEmitter"
 
-_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _KEYWORDS = frozenset({"vertices", "edge", "bundle", "omega"})
 
 
 def is_valid_id(token: str) -> bool:
     """True when `token` is usable as a vertex/bundle id in the text format."""
-    return bool(_ID_RE.match(token)) and token not in _KEYWORDS
+    return token.isascii() and token.isidentifier() and token not in _KEYWORDS
 
 
 def mult_to_json(mult) -> object:
@@ -111,7 +110,13 @@ def per_graph(fn):
 
 
 class Graph:
-    """Immutable directed graph with multiplicity-carrying edge bundles."""
+    """Immutable directed graph with multiplicity-carrying edge bundles.
+
+    Vertex i is the i-th id in sorted order and a vertex set is an int mask
+    over these indices: the view every analysis reads.  Ids are checked
+    where they enter (``index``, ``mask_of``) and made where they leave
+    (``set_of``).
+    """
 
     def __init__(self, vertices, bundles=()):
         vs = list(vertices)
@@ -141,24 +146,33 @@ class Graph:
                 )
         self._vertices = tuple(sorted(vs))
         self._bundles = tuple(sorted(bs, key=lambda b: b.id))
-        self._index = {v: i for i, v in enumerate(self._vertices)}
+        self._index = index = {v: i for i, v in enumerate(self._vertices)}
         self._by_id = {b.id: b for b in self._bundles}
-        out: dict[str, list[EdgeBundle]] = {v: [] for v in self._vertices}
-        inc: dict[str, list[EdgeBundle]] = {v: [] for v in self._vertices}
+        out: list[list[EdgeBundle]] = [[] for _ in self._vertices]
+        inc: list[list[EdgeBundle]] = [[] for _ in self._vertices]
         for b in self._bundles:
-            out[b.source].append(b)
-            inc[b.target].append(b)
-        self._out = {v: tuple(lst) for v, lst in out.items()}
-        self._in = {v: tuple(lst) for v, lst in inc.items()}
-        self._kind = {
-            v: INFINITE_EMITTER if any(b.mult is OMEGA for b in lst)
+            out[index[b.source]].append(b)
+            inc[index[b.target]].append(b)
+        self._out = tuple(map(tuple, out))
+        self._in = tuple(map(tuple, inc))
+        self._targets = tuple(
+            tuple(sorted({b.target for b in lst})) for lst in out
+        )
+        self._target_masks = tuple(
+            sum(1 << index[t] for t in ts) for ts in self._targets
+        )
+        self._kinds = tuple(
+            INFINITE_EMITTER if any(b.mult is OMEGA for b in lst)
             else REGULAR if lst
             else SINK
-            for v, lst in out.items()
-        }
-        self._targets = {
-            v: tuple(sorted({b.target for b in lst})) for v, lst in out.items()
-        }
+            for lst in out
+        )
+        self._kind_masks = dict.fromkeys((SINK, REGULAR, INFINITE_EMITTER), 0)
+        self._bifurcations = 0
+        for i, kind in enumerate(self._kinds):
+            self._kind_masks[kind] |= 1 << i
+            if kind == INFINITE_EMITTER or sum(b.mult for b in out[i]) >= 2:
+                self._bifurcations |= 1 << i
         self._memo: dict = {}
 
     # -- basic accessors ---------------------------------------------------
@@ -176,8 +190,7 @@ class Graph:
 
     def check_vertices(self, vs) -> None:
         for v in vs:
-            if v not in self._index:
-                raise GraphValidationError(f"unknown vertex id '{v}'")
+            self.index(v)
 
     def bundle(self, eid: str) -> EdgeBundle:
         try:
@@ -189,12 +202,10 @@ class Graph:
         return eid in self._by_id
 
     def out_bundles(self, v: str) -> tuple[EdgeBundle, ...]:
-        self.check_vertices((v,))
-        return self._out[v]
+        return self._out[self.index(v)]
 
     def in_bundles(self, v: str) -> tuple[EdgeBundle, ...]:
-        self.check_vertices((v,))
-        return self._in[v]
+        return self._in[self.index(v)]
 
     def out_multiplicity(self, v: str):
         """Total number of edges leaving v: an int, or OMEGA."""
@@ -206,8 +217,7 @@ class Graph:
         return total
 
     def kind(self, v: str) -> str:
-        self.check_vertices((v,))
-        return self._kind[v]
+        return self._kinds[self.index(v)]
 
     def is_regular(self, v: str) -> bool:
         return self.kind(v) == REGULAR
@@ -220,14 +230,15 @@ class Graph:
 
     def targets(self, v: str) -> tuple[str, ...]:
         """Distinct targets of v's out-bundles, sorted."""
-        self.check_vertices((v,))
-        return self._targets[v]
+        return self._targets[self.index(v)]
 
-    # -- bitmask plumbing (used by the analysis modules) -------------------
+    # -- the integer view ---------------------------------------------------
 
     def index(self, v: str) -> int:
-        self.check_vertices((v,))
-        return self._index[v]
+        try:
+            return self._index[v]
+        except KeyError:
+            raise GraphValidationError(f"unknown vertex id '{v}'") from None
 
     def mask_of(self, vs) -> int:
         mask = 0
@@ -236,9 +247,24 @@ class Graph:
         return mask
 
     def set_of(self, mask: int) -> tuple[str, ...]:
+        """The ids in ``mask``, sorted; a complement ``~m`` is accepted."""
         return tuple(
             v for i, v in enumerate(self._vertices) if mask >> i & 1
         )
+
+    @property
+    def target_masks(self) -> tuple[int, ...]:
+        """Per vertex index, the mask of its targets."""
+        return self._target_masks
+
+    def kind_mask(self, kind: str) -> int:
+        """The vertices of one kind: SINK, REGULAR or INFINITE_EMITTER."""
+        return self._kind_masks[kind]
+
+    @property
+    def bifurcations(self) -> int:
+        """The vertices that emit two or more edges (ω counts as many)."""
+        return self._bifurcations
 
     @per_graph
     def reach_masks(self) -> list[int]:
@@ -248,11 +274,25 @@ class Graph:
         what the SCC reaches in the component DAG.
         """
         cond = condense(self)
-        comp_masks = [0] * len(cond.sccs)
-        for i, v in enumerate(self._vertices):
-            comp_masks[cond.scc_of[v]] |= 1 << i
-        reach = _kernel.reach_masks(comp_masks, cond.dag)
+        reach = _kernel.reach_masks(cond.masks, cond.dag)
         return [reach[cond.scc_of[v]] for v in self._vertices]
+
+    def tree_mask(self, mask: int) -> int:
+        """T(X) of the set ``mask``: every vertex it reaches, itself included."""
+        reach = self.reach_masks()
+        tree = 0
+        while mask:
+            tree |= reach[(mask & -mask).bit_length() - 1]
+            mask &= ~tree
+        return tree
+
+    def reaching(self, mask: int) -> int:
+        """The vertices whose tree T(v) meets the set ``mask``."""
+        found = 0
+        for i, reach in enumerate(self.reach_masks()):
+            if reach & mask:
+                found |= 1 << i
+        return found
 
     # -- equality / hashing -------------------------------------------------
 
@@ -273,11 +313,13 @@ class Condensation:
     """SCC partition of a graph plus its component DAG.
 
     Component ids are assigned by smallest member vertex (sorted order),
-    so numbering is deterministic for a given graph.
+    so numbering is deterministic for a given graph.  ``masks[c]`` is the
+    vertex mask of component c.
     """
 
     scc_of: dict
     sccs: tuple[tuple[str, ...], ...]
+    masks: tuple[int, ...]
     dag: tuple[tuple[int, ...], ...]
     trivial: tuple[bool, ...]
     terminal: tuple[bool, ...]
@@ -296,15 +338,16 @@ def condense(g: Graph) -> Condensation:
     index = g._index
     indptr = [0]
     indices: list[int] = []
-    for v in g.vertices:
-        # targets are sorted by name, and index order is name order
-        indices.extend(index[t] for t in g._targets[v])
+    for out in g._out:
+        indices.extend(index[b.target] for b in out)
         indptr.append(len(indices))
     labels = _kernel.scc_labels(len(g.vertices), indptr, indices)
     ncomp = max(labels) + 1 if labels else 0
     members: list[list[str]] = [[] for _ in range(ncomp)]
+    masks = [0] * ncomp
     for i, v in enumerate(g.vertices):
         members[labels[i]].append(v)
+        masks[labels[i]] |= 1 << i
     sccs = tuple(tuple(m) for m in members)
     dag_sets: list[set[int]] = [set() for _ in range(ncomp)]
     has_self_bundle = [False] * ncomp
@@ -324,6 +367,7 @@ def condense(g: Graph) -> Condensation:
     return Condensation(
         scc_of=dict(zip(g.vertices, labels)),
         sccs=sccs,
+        masks=tuple(masks),
         dag=dag,
         trivial=trivial,
         terminal=terminal,
@@ -332,27 +376,10 @@ def condense(g: Graph) -> Condensation:
 
 def reachable(g: Graph, frm) -> tuple[str, ...]:
     """The tree T(frm): every vertex reachable from the given set (inclusive)."""
-    frm = tuple(frm)
-    g.check_vertices(frm)
-    masks = g.reach_masks()
-    acc = 0
-    for v in frm:
-        acc |= masks[g.index(v)]
-    return g.set_of(acc)
+    return g.set_of(g.tree_mask(g.mask_of(frm)))
 
 
 # -- text format -----------------------------------------------------------
-
-
-def _tokens_with_columns(line: str):
-    code = line.split("#", 1)[0]
-    return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", code)]
-
-
-def _check_id(token: str, lineno: int, col: int) -> str:
-    if not is_valid_id(token):
-        raise GraphSyntaxError(f"invalid id '{token}'", lineno, col)
-    return token
 
 
 def parse_graph(text: str) -> Graph:
@@ -367,73 +394,78 @@ def parse_graph(text: str) -> Graph:
 
     `edge` and `bundle` are interchangeable on input; the canonical
     serializer emits `edge` for finite multiplicities and `bundle ... omega`
-    for ω.
+    for ω.  k is written in ASCII digits.
     """
+    lines = text.splitlines()
     vertices: list[str] = []
-    vertex_pos: dict[str, tuple[int, int]] = {}
+    declared: set[str] = set()
     bundles: list[EdgeBundle] = []
-    bundle_pos: dict[str, tuple[int, int]] = {}
-    endpoint_pos: list[tuple[str, str, int, int, int]] = []
+    bundle_ids: set[str] = set()
+    bundle_lines: list[int] = []
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        toks = _tokens_with_columns(line)
+    def error(message: str, k: int) -> GraphSyntaxError:
+        """The error at token k of line ``lineno`` (k past the last token:
+        the end of the line's code); only here are columns worked out."""
+        code = lines[lineno - 1].split("#", 1)[0]
+        toks = code.split()
+        pos = 0
+        for tok in toks[:k]:
+            pos = code.index(tok, pos) + len(tok)
+        if k < len(toks):
+            pos = code.index(toks[k], pos)
+        return GraphSyntaxError(message, lineno, pos + 1)
+
+    for lineno, line in enumerate(lines, start=1):
+        toks = line.split("#", 1)[0].split()
         if not toks:
             continue
-        head, head_col = toks[0]
+        head = toks[0]
         if head == "vertices":
-            for tok, col in toks[1:]:
-                _check_id(tok, lineno, col)
-                if tok in vertex_pos:
-                    raise GraphSyntaxError(f"duplicate id '{tok}'", lineno, col)
-                vertex_pos[tok] = (lineno, col)
+            for k, tok in enumerate(toks[1:], 1):
+                if not is_valid_id(tok):
+                    raise error(f"invalid id '{tok}'", k)
+                if tok in declared:
+                    raise error(f"duplicate id '{tok}'", k)
+                declared.add(tok)
                 vertices.append(tok)
         elif head in ("edge", "bundle"):
             if len(toks) < 4:
-                raise GraphSyntaxError(
-                    f"'{head}' needs <id> <src> <dst>", lineno,
-                    len(line.split("#", 1)[0].rstrip()) + 1,
-                )
-            (eid, eid_col), (src, src_col), (dst, dst_col) = toks[1:4]
-            _check_id(eid, lineno, eid_col)
-            _check_id(src, lineno, src_col)
-            _check_id(dst, lineno, dst_col)
-            if eid in bundle_pos or eid in vertex_pos:
-                raise GraphSyntaxError(f"duplicate id '{eid}'", lineno, eid_col)
+                raise error(f"'{head}' needs <id> <src> <dst>", len(toks))
+            for k in (1, 2, 3):
+                if not is_valid_id(toks[k]):
+                    raise error(f"invalid id '{toks[k]}'", k)
+            eid, src, dst = toks[1:4]
+            if eid in bundle_ids or eid in declared:
+                raise error(f"duplicate id '{eid}'", 1)
             mult: object = 1
+            if len(toks) > 5:
+                raise error(f"unexpected token '{toks[5]}'", 5)
             if len(toks) == 5:
-                mtok, mcol = toks[4]
+                mtok, digits = toks[4], toks[4][1:]
                 if mtok == "omega":
                     mult = OMEGA
-                elif re.fullmatch(r"x\d+", mtok):
-                    mult = int(mtok[1:])
-                    if mult == 0:
-                        raise GraphSyntaxError("multiplicity 0", lineno, mcol)
+                elif not (mtok[0] == "x" and digits.isdigit() and digits.isascii()):
+                    raise error(f"expected 'x<k>' or 'omega', got '{mtok}'", 4)
                 else:
-                    raise GraphSyntaxError(
-                        f"expected 'x<k>' or 'omega', got '{mtok}'", lineno, mcol
-                    )
-            elif len(toks) > 5:
-                raise GraphSyntaxError(
-                    f"unexpected token '{toks[5][0]}'", lineno, toks[5][1]
-                )
-            bundle_pos[eid] = (lineno, eid_col)
+                    try:
+                        mult = int(digits)
+                    except ValueError:  # past int()'s digit limit
+                        raise error("multiplicity has too many digits", 4) from None
+                    if mult == 0:
+                        raise error("multiplicity 0", 4)
+            bundle_ids.add(eid)
             bundles.append(EdgeBundle(eid, src, dst, mult))
-            endpoint_pos.append((src, dst, lineno, src_col, dst_col))
+            bundle_lines.append(lineno)
         else:
-            raise GraphSyntaxError(
-                f"expected 'vertices', 'edge' or 'bundle', got '{head}'",
-                lineno, head_col,
-            )
+            raise error(f"expected 'vertices', 'edge' or 'bundle', got '{head}'", 0)
 
-    declared = set(vertices)
-    for src, dst, lineno, src_col, dst_col in endpoint_pos:
-        if src not in declared:
-            raise GraphSyntaxError(f"dangling endpoint '{src}'", lineno, src_col)
-        if dst not in declared:
-            raise GraphSyntaxError(f"dangling endpoint '{dst}'", lineno, dst_col)
-    for eid, (lineno, col) in bundle_pos.items():
-        if eid in declared:
-            raise GraphSyntaxError(f"duplicate id '{eid}'", lineno, col)
+    for b, lineno in zip(bundles, bundle_lines):
+        for k, end in ((2, b.source), (3, b.target)):
+            if end not in declared:
+                raise error(f"dangling endpoint '{end}'", k)
+    for b, lineno in zip(bundles, bundle_lines):
+        if b.id in declared:
+            raise error(f"duplicate id '{b.id}'", 1)
 
     return Graph(vertices, bundles)
 
@@ -489,7 +521,7 @@ def to_dot(g: Graph) -> str:
 
 # -- edge instances ---------------------------------------------------------
 
-_INSTANCE_RE = re.compile(r"(?P<id>[^\[\]]+)(?:\[(?P<idx>\d+)\])?\Z")
+_INSTANCE_RE = re.compile(r"(?P<id>[^\[\]]+)(?:\[(?P<idx>[0-9]+)\])?\Z")
 
 
 def parse_instance(g: Graph, token: str) -> tuple[EdgeBundle, int]:
@@ -514,7 +546,12 @@ def parse_instance(g: Graph, token: str) -> tuple[EdgeBundle, int]:
                 f"use '{eid}[i]' with 1 <= i <= {b.mult}"
             )
         return b, 1
-    idx = int(m.group("idx"))
+    try:
+        idx = int(m.group("idx"))
+    except ValueError:  # past int()'s digit limit
+        raise GraphValidationError(
+            f"instance index of '{eid}' has too many digits"
+        ) from None
     if not 1 <= idx <= b.mult:
         raise GraphValidationError(
             f"instance index {idx} out of range for bundle '{eid}' (x{b.mult})"

@@ -22,9 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .closures import breaking_vertices, is_hereditary
+from .closures import breaking_vertices
 from .errors import GraphValidationError
 from .graph import OMEGA, EdgeBundle, Graph, condense
+
+
+# The F-paths are listed one by one; a hedgehog whose paths hold more edges
+# than this in all is refused before any is listed.
+MAX_PATH_EDGES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -44,12 +49,9 @@ def path_vertex_name(instances) -> str:
 
 
 def _validate(g: Graph, H, S) -> tuple[set, set]:
-    hset = set(H)
-    if not is_hereditary(g, hset):
-        raise GraphValidationError("H is not hereditary")
-    sset = set(S)
-    allowed = set(breaking_vertices(g, hset).members)
-    bad = sset - allowed
+    hset, sset = set(H), set(S)
+    # breaking_vertices also rejects an H that is not hereditary
+    bad = sset - set(breaking_vertices(g, hset).members)
     if bad:
         raise GraphValidationError(
             f"invalid S: {sorted(bad)} are not breaking vertices of H"
@@ -64,72 +66,89 @@ def _route_bundles(g: Graph, hset: set, sset: set):
     admissible last edges.  Sources are outside H throughout (paths may
     start, and F₁ paths may pass through, S-members).
     """
-    f1_final = [
-        b
-        for b in g.bundles
-        if b.target in hset and b.source not in hset and b.source not in sset
-    ]
-    f1_mid = [
-        b for b in g.bundles if b.source not in hset and b.target not in hset
-    ]
-    f2_final = [
-        b for b in g.bundles if b.target in sset and b.source not in hset
-    ]
-    f2_mid = [
-        b
-        for b in g.bundles
-        if b.source not in hset
-        and b.target not in hset
-        and b.target not in sset
-    ]
+    outside = [b for b in g.bundles if b.source not in hset]
+    f1_mid = [b for b in outside if b.target not in hset]
+    f1_final = [b for b in outside if b.target in hset and b.source not in sset]
+    f2_mid = [b for b in f1_mid if b.target not in sset]
+    f2_final = [b for b in outside if b.target in sset]
     return (f1_mid, f1_final), (f2_mid, f2_final)
 
 
-def _can_finish(g: Graph, mid, final) -> set:
-    """Vertices from which some admissible final edge is reachable via mids."""
-    route = Graph(g.vertices, mid)
-    goal = route.mask_of({b.source for b in final})
-    return {
-        v for v, reach in zip(route.vertices, route.reach_masks()) if reach & goal
-    }
+def _route_table(g: Graph, mid, final):
+    """(finite, usable vertices, mid bundles by source, final bundles by source).
 
-
-def _f_set_is_finite(g: Graph, mid, final) -> bool:
-    if any(b.mult is OMEGA for b in final):
-        return False
-    usable = _can_finish(g, mid, final)
-    # A mid bundle into a usable vertex starts at a usable vertex too.
-    route = [b for b in mid if b.target in usable]
-    if any(b.mult is OMEGA for b in route):
-        return False
-    # A cycle among usable route vertices pumps arbitrarily long paths.
-    return all(condense(Graph(usable, route)).trivial)
+    Usable vertices reach a final bundle along ω-free mids; the lists leave
+    ω out and keep the bundle-id order.  The F-set is infinite when a final,
+    or a mid into a usable vertex, has multiplicity ω (a route through ω has
+    a last ω-bundle, and it lands on a usable vertex), or when usable
+    vertices lie on a cycle.
+    """
+    free_mid = [b for b in mid if b.mult is not OMEGA]
+    free_final = [b for b in final if b.mult is not OMEGA]
+    route = Graph(g.vertices, free_mid)
+    usable_mask = route.reaching(route.mask_of(b.source for b in free_final))
+    usable = set(route.set_of(usable_mask))
+    mid_from: dict[str, list[EdgeBundle]] = {}
+    for b in free_mid:
+        if b.target in usable:  # then so is its source
+            mid_from.setdefault(b.source, []).append(b)
+    final_from: dict[str, list[EdgeBundle]] = {}
+    for b in free_final:
+        final_from.setdefault(b.source, []).append(b)
+    cond = condense(route)
+    finite = (
+        len(free_final) == len(final)
+        and not any(b.mult is OMEGA and b.target in usable for b in mid)
+        and not any(
+            mask & usable_mask and not trivial
+            for mask, trivial in zip(cond.masks, cond.trivial)
+        )
+    )
+    return finite, usable, mid_from, final_from
 
 
 def hedgehog_is_finite(g: Graph, H, S) -> bool:
-    """Can the full hedgehog be materialized (finitely many F-paths)?"""
+    """Are both F-path sets finite, so the hedgehog needs no truncation?"""
     hset, sset = _validate(g, H, S)
-    (f1_mid, f1_final), (f2_mid, f2_final) = _route_bundles(g, hset, sset)
-    return _f_set_is_finite(g, f1_mid, f1_final) and _f_set_is_finite(
-        g, f2_mid, f2_final
+    return all(
+        _route_table(g, mid, final)[0]
+        for mid, final in _route_bundles(g, hset, sset)
     )
 
 
-def _enumerate_paths(g: Graph, mid, final, depth_limit) -> list[tuple[str, ...]]:
+def _count_paths(route, depth_limit) -> tuple[int, int]:
+    """Number and total length of the F-paths ``_enumerate_paths`` lists.
+
+    ``level`` counts the paths of length k by start vertex.  A path's suffix
+    is a path, so once no path has length k none is longer; until then each
+    k adds k edges or more, so counting soon passes MAX_PATH_EDGES and stops
+    there (the totals are then lower bounds).
+    """
+    _, _, mid_from, final_from = route
+    mid_into: dict[str, list[EdgeBundle]] = {}
+    for bundles in mid_from.values():
+        for b in bundles:
+            mid_into.setdefault(b.target, []).append(b)
+    level = {v: sum(b.mult for b in bs) for v, bs in final_from.items()}
+    paths = edges = k = 0
+    while level and edges <= MAX_PATH_EDGES and k != depth_limit:
+        k += 1
+        paths += sum(level.values())
+        edges += k * sum(level.values())
+        below: dict[str, int] = {}
+        for t, n in level.items():
+            for b in mid_into.get(t, ()):
+                below[b.source] = below.get(b.source, 0) + b.mult * n
+        level = below
+    return paths, edges
+
+
+def _enumerate_paths(route, depth_limit) -> list[tuple[str, ...]]:
     """All admissible F-paths as instance-id tuples (ω-free, depth-capped).
 
     Deterministic order: starts sorted, bundles by id, instances by index.
     """
-    mid = [b for b in mid if b.mult is not OMEGA]
-    final = [b for b in final if b.mult is not OMEGA]
-    usable = _can_finish(g, mid, final)
-    mid_from: dict[str, list[EdgeBundle]] = {}
-    for b in sorted(mid, key=lambda b: b.id):
-        if b.source in usable and b.target in usable:
-            mid_from.setdefault(b.source, []).append(b)
-    final_from: dict[str, list[EdgeBundle]] = {}
-    for b in sorted(final, key=lambda b: b.id):
-        final_from.setdefault(b.source, []).append(b)
+    _, usable, mid_from, final_from = route
     out: list[tuple[str, ...]] = []
 
     def visit(u: str, prefix: list[str]):
@@ -171,14 +190,20 @@ def build_hedgehog(g: Graph, H, S, depth_limit: int = 6) -> HedgehogGraph:
     if depth_limit < 1:
         raise GraphValidationError("depth_limit must be >= 1")
     hset, sset = _validate(g, H, S)
-    (f1_mid, f1_final), (f2_mid, f2_final) = _route_bundles(g, hset, sset)
-    finite = _f_set_is_finite(g, f1_mid, f1_final) and _f_set_is_finite(
-        g, f2_mid, f2_final
-    )
+    routes = [
+        _route_table(g, mid, final) for mid, final in _route_bundles(g, hset, sset)
+    ]
+    finite = all(route[0] for route in routes)
     cap = None if finite else depth_limit
-    paths = _enumerate_paths(g, f1_mid, f1_final, cap) + _enumerate_paths(
-        g, f2_mid, f2_final, cap
-    )
+    counts = [_count_paths(route, cap) for route in routes]
+    edges = sum(e for _, e in counts)
+    if edges > MAX_PATH_EDGES:
+        raise GraphValidationError(
+            f"the hedgehog has at least {sum(n for n, _ in counts)} F-paths "
+            f"with at least {edges} edges in all; at most {MAX_PATH_EDGES} "
+            "edges are listed"
+        )
+    paths = [p for route in routes for p in _enumerate_paths(route, cap)]
     table = {path_vertex_name(p): p for p in paths}
     vertices = sorted(hset | sset | set(table))
     bundles = [b for b in g.bundles if b.source in hset]

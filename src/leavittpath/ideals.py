@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .classify import classify
 from .closures import breaking_vertices, density_check, hs_closure
 from .errors import GraphValidationError, InvariantViolation
-from .graph import Graph, condense, reachable, to_text
+from .graph import Graph, condense, to_text
 
 
 @dataclass(frozen=True)
@@ -75,22 +75,6 @@ class CycleClass:
     label: str
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
-
-
 def pi_decomposition(g: Graph) -> tuple[CycleClass, ...]:
     """Split the purely infinite part into direct summands.
 
@@ -101,57 +85,39 @@ def pi_decomposition(g: Graph) -> tuple[CycleClass, ...]:
     all cycles within one SCC are mutually connected.
     """
     cls = classify(g)
-    pec, prime = set(cls.p_pec), set(cls.p_prime)
+    pec, prime = g.mask_of(cls.p_pec), g.mask_of(cls.p_prime)
     cond = condense(g)
     classes: list[CycleClass] = []
 
-    pec_cover: set[str] = set()
+    pec_cover = 0
     for i in cond.non_trivial_terminal():
-        scc = cond.sccs[i]
-        if set(scc) <= pec:
-            members = tuple(sorted(scc))
-            classes.append(
-                CycleClass("Pec", (i,), members, reachable(g, members), PEC_LABEL)
-            )
-            pec_cover.update(scc)
+        mask = cond.masks[i]
+        if not mask & ~pec:
+            classes.append(CycleClass(
+                "Pec", (i,), cond.sccs[i], g.set_of(g.tree_mask(mask)), PEC_LABEL
+            ))
+            pec_cover |= mask
     if pec_cover != pec:
         raise InvariantViolation(
             "P_pec is not covered by its terminal cycle classes", to_text(g)
         )
 
-    prime_nodes = [
-        i
-        for i, scc in enumerate(cond.sccs)
-        if not cond.trivial[i] and set(scc) <= prime
-    ]
-    if prime_nodes:
-        uf = _UnionFind(len(cond.sccs))
-        reach = g.reach_masks()
-        for i in prime_nodes:
-            bi = g.mask_of(cond.sccs[i][:1])
-            for j in prime_nodes:
-                if j <= i:
-                    continue
-                bj = g.mask_of(cond.sccs[j][:1])
-                if reach[g.index(cond.sccs[i][0])] & bj or (
-                    reach[g.index(cond.sccs[j][0])] & bi
-                ):
-                    uf.union(i, j)
-        groups: dict[int, list[int]] = {}
-        for i in prime_nodes:
-            groups.setdefault(uf.find(i), []).append(i)
-        for root in sorted(groups):
-            sccs = tuple(sorted(groups[root]))
-            vertices = sorted(v for i in sccs for v in cond.sccs[i])
-            classes.append(
-                CycleClass(
-                    "Pprime",
-                    sccs,
-                    tuple(vertices),
-                    reachable(g, vertices),
-                    PPRIME_LABEL,
-                )
-            )
+    # (member SCCs, vertex mask, tree mask) per P′ class; each SCC merges
+    # the classes it reaches or that reach it
+    groups: list[tuple[tuple[int, ...], int, int]] = []
+    for i, mask in enumerate(cond.masks):
+        if cond.trivial[i] or mask & ~prime:
+            continue
+        sccs, tree = (i,), g.tree_mask(mask)
+        for other in [o for o in groups if o[2] & mask or tree & o[1]]:
+            groups.remove(other)
+            sccs = tuple(sorted(other[0] + sccs))
+            mask, tree = mask | other[1], tree | other[2]
+        groups.append((sccs, mask, tree))
+    for sccs, mask, tree in groups:
+        classes.append(CycleClass(
+            "Pprime", sccs, g.set_of(mask), g.set_of(tree), PPRIME_LABEL
+        ))
 
     classes.sort(key=lambda c: (c.kind != "Pec", c.class_vertices))
     _check_tree_disjointness(g, classes)
@@ -192,9 +158,7 @@ _FINITE_FRAGMENT_NOTE = (
 
 def largest_ideals_report(g: Graph) -> LargestIdealsReport:
     cls = classify(g)
-    union = tuple(
-        sorted(set(cls.p_l) | set(cls.p_c) | set(cls.p_ec) | set(cls.p_binf))
-    )
+    union = g.set_of(g.mask_of(cls.p_l + cls.p_c + cls.p_ec + cls.p_binf))
     density = density_check(g, union)
     if g.vertices and not density.dense:
         raise InvariantViolation(

@@ -243,22 +243,43 @@ def pprime_classes_oracle(g: Graph, prime) -> tuple:
     return tuple(sorted((frozenset(s) for s in groups.values()), key=min))
 
 
-def hereditary_saturated_sets(g: Graph) -> list:
-    """Every hereditary saturated subset, by brute force over 2^n."""
+def hereditary_sets(g: Graph) -> list:
+    """Every hereditary subset, by brute force over 2^n."""
     n = len(g.vertices)
     if n > 14:
         raise ValueError("subset enumeration is for small graphs only")
     out = []
     for bits in range(1 << n):
         s = {g.vertices[i] for i in range(n) if bits >> i & 1}
-        hereditary = all(t in s for u in s for t in g.targets(u))
-        if not hereditary:
-            continue
-        saturated = all(
+        if all(t in s for u in s for t in g.targets(u)):
+            out.append(frozenset(s))
+    return out
+
+
+def hereditary_saturated_sets(g: Graph) -> list:
+    """Every hereditary saturated subset, by brute force over 2^n."""
+    return [
+        s
+        for s in hereditary_sets(g)
+        if all(
             not (g.is_regular(u) and all(t in s for t in g.targets(u)))
             for u in g.vertices
             if u not in s
         )
-        if saturated:
-            out.append(frozenset(s))
-    return out
+    ]
+
+
+def breaking_capable_oracle(g: Graph) -> tuple:
+    """Infinite emitters u that break some hereditary Y with an escape.
+
+    By brute force over every hereditary Y: u ∉ Y, every ω-target of u lies
+    in Y, and some finite edge of u leaves Y.
+    """
+    hereditary = hereditary_sets(g)
+    out = []
+    for u in g.vertices:
+        omega = {b.target for b in g.out_bundles(u) if b.mult is OMEGA}
+        finite = {b.target for b in g.out_bundles(u) if b.mult is not OMEGA}
+        if omega and any(u not in y and omega <= y and finite - y for y in hereditary):
+            out.append(u)
+    return tuple(out)

@@ -359,8 +359,8 @@ def element_payload(a: AlgebraElement) -> list:
 # -- expression parsing ------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:/\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:\[\d+\])?)"
+    r"\s*(?:(?P<number>[0-9]+(?:/[0-9]+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:\[[0-9]+\])?)"
     r"|(?P<sym>[()*+-]))"
 )
 
@@ -462,12 +462,14 @@ class _Parser:
     def atom(self):
         kind, text, col = self.advance()
         if kind == "number":
-            if "/" in text:
-                num, den = text.split("/")
-                if int(den) == 0:
-                    raise ExpressionError("zero denominator", col)
-                return ("scalar", Fraction(int(num), int(den)))
-            return ("scalar", Fraction(int(text)))
+            num, _, den = text.partition("/")
+            try:
+                num, den = int(num), int(den or "1")
+            except ValueError:  # past int()'s digit limit
+                raise ExpressionError("number has too many digits", col) from None
+            if den == 0:
+                raise ExpressionError("zero denominator", col)
+            return ("scalar", Fraction(num, den))
         if kind == "ident":
             return ("element", self._resolve(text, col))
         if kind == "sym" and text == "(":

@@ -278,3 +278,49 @@ def test_determinism_byte_identical(capsys):
         _, out, _ = run_cli(capsys, "report", fixture_path("six"))
         outs.add(out)
     assert len(outs) == 1
+
+
+def test_oversized_hedgehog_exits_2(tmp_path, capsys):
+    path = tmp_path / "big.lpa"
+    path.write_text("vertices a b\nedge e a b x1000000000000\nedge l b b x2\n")
+    code, out, err = run_cli(capsys, "hedgehog", str(path), "--H", "b")
+    assert code == 2
+    assert out == ""
+    assert "at least 1000000000000 F-paths" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("vertices a b\nedge e a b x٣\n", "expected 'x<k>' or 'omega', got 'x٣'"),
+        ("vertices a b\nedge e a b x" + "7" * 5000 + "\n",
+         "line 2, column 12: multiplicity has too many digits"),
+    ],
+    ids=["arabic-indic-digit", "5000-digits"],
+)
+def test_graph_numerals_are_ascii_and_bounded(tmp_path, capsys, text, message):
+    path = tmp_path / "g.lpa"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("٣ a", "column 1: unexpected character '٣'"),
+        ("e[٣]", "column 2: unexpected character '['"),
+        ("7" * 5000 + " a", "column 1: number has too many digits"),
+        ("1/" + "7" * 5000 + " a", "column 1: number has too many digits"),
+        ("e[" + "1" * 5000 + "]", "column 1: instance index of 'e' has too many"),
+    ],
+    ids=["arabic-indic-digit", "arabic-indic-index", "5000-digits",
+         "5000-digit-denominator", "5000-digit-index"],
+)
+def test_eval_numerals_are_ascii_and_bounded(tmp_path, capsys, expr, message):
+    path = tmp_path / "g.lpa"
+    path.write_text("vertices a b\nedge e a b x3\n")
+    code, out, err = run_cli(capsys, "eval", str(path), "--expr", expr)
+    assert (code, out) == (2, "")
+    assert message in err

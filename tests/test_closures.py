@@ -4,11 +4,14 @@ from leavittpath import (
     GraphValidationError,
     breaking_capable,
     breaking_vertices,
+    csp_class,
     density_check,
     hs_closure,
+    ideal_descriptor,
     is_hereditary,
     is_saturated,
     parse_graph,
+    reachable,
     restriction_graph,
     saturate_once,
     to_text,
@@ -144,3 +147,31 @@ def test_closure_result_is_plain_data():
     r = hs_closure(g, ("v3",))
     assert to_text(g)  # graph unchanged / still serializable
     assert isinstance(r.members, tuple)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: reachable(g, ("v1", "nope")),
+        lambda g: is_hereditary(g, ("nope",)),
+        lambda g: is_saturated(g, ("v3", "nope")),
+        lambda g: saturate_once(g, ("nope",)),
+        lambda g: breaking_vertices(g, ("nope",)),
+        lambda g: restriction_graph(g, ("nope",)),
+        lambda g: density_check(g, ("nope",)),
+        lambda g: csp_class(g, "nope"),
+        lambda g: ideal_descriptor(g, ("nope",)),
+        lambda g: g.index("nope"),
+        lambda g: g.kind("nope"),
+        lambda g: g.targets("nope"),
+        lambda g: g.out_bundles("nope"),
+    ],
+    ids=[
+        "reachable", "is_hereditary", "is_saturated", "saturate_once",
+        "breaking_vertices", "restriction_graph", "density_check", "csp_class",
+        "ideal_descriptor", "index", "kind", "targets", "out_bundles",
+    ],
+)
+def test_unknown_vertex_id_is_named(call):
+    with pytest.raises(GraphValidationError, match="unknown vertex id 'nope'"):
+        call(fixture_graph("chain3sink"))

@@ -131,3 +131,30 @@ def test_long_chain_paths_need_no_recursion():
     assert hh.finite
     assert len(hh.path_vertex_table) == n
     assert max(map(len, hh.path_vertex_table.values())) == n
+
+
+@pytest.mark.parametrize(
+    "text, H, count",
+    [
+        # 10^12 parallel edges into H = {b}
+        ("vertices a b\nedge e a b x1000000000000\nedge l b b x2\n", "b",
+         10**12),
+        # 3000 * 3000 two-edge paths a -> b -> c, plus 3000 from b
+        ("vertices a b c\nedge e a b x3000\nedge f b c x3000\nedge l c c x2\n",
+         "c", 9003000),
+    ],
+)
+def test_oversized_hedgehog_is_refused_before_listing(text, H, count):
+    g = parse_graph(text)
+    assert hedgehog_is_finite(g, (H,), ())
+    with pytest.raises(GraphValidationError, match=f"at least {count} F-paths"):
+        build_hedgehog(g, (H,), ())
+
+
+def test_deep_truncation_is_refused():
+    # the loop at a gives one F1 path of each length
+    g = parse_graph("vertices a h\nedge l a a\nedge f a h\nedge m h h\n")
+    hh = build_hedgehog(g, ("h",), (), depth_limit=1000)
+    assert len(hh.path_vertex_table) == 1000
+    with pytest.raises(GraphValidationError, match="at most 1000000 edges"):
+        build_hedgehog(g, ("h",), (), depth_limit=10**9)

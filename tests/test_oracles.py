@@ -13,6 +13,8 @@ import pytest
 
 from leavittpath import (
     OMEGA,
+    b_infinity,
+    breaking_capable,
     condense,
     csp_class,
     cycles_without_exits,
@@ -20,6 +22,7 @@ from leavittpath import (
     hs_closure,
     is_hereditary,
     is_saturated,
+    line_points,
     parse_graph,
     reachable,
     saturate_once,
@@ -27,6 +30,7 @@ from leavittpath import (
 )
 from leavittpath.oracles import (
     b_infinity_oracle,
+    breaking_capable_oracle,
     csp_class_oracle,
     cycles_without_exits_oracle,
     extreme_cycles_oracle,
@@ -128,6 +132,14 @@ def test_hereditary_saturated_sets_small():
     }
 
 
+def test_breaking_capable_oracle_by_hand():
+    # u breaks {h} (its ω-target) and escapes to x
+    assert breaking_capable_oracle(fixture_graph("omega-h")) == ("u",)
+    # no escape: every edge of u lands in the tree of its ω-target
+    g = parse_graph("vertices u h\nbundle m u h omega\nedge f u h\n")
+    assert breaking_capable_oracle(g) == ()
+
+
 def test_hereditary_saturated_sets_size_guard():
     g = parse_graph(
         "vertices " + " ".join(f"v{i}" for i in range(16)) + "\n"
@@ -161,6 +173,9 @@ def test_csp_and_cycle_sets_match_oracles_with_omega():
         assert sccs == sccs_oracle(g), to_text(g)
         assert cycles_without_exits(g) == cycles_without_exits_oracle(g), to_text(g)
         assert extreme_cycles(g) == extreme_cycles_oracle(g), to_text(g)
+        assert line_points(g) == line_points_oracle(g), to_text(g)
+        assert b_infinity(g) == b_infinity_oracle(g), to_text(g)
+        assert breaking_capable(g) == breaking_capable_oracle(g), to_text(g)
 
 
 def _saturate_once_by_definition(g, X):
