@@ -128,8 +128,8 @@ def breaking_capable(g: Graph) -> tuple[str, ...]:
     absorbs every ω-bundle target of u while u itself stays outside and at
     least one finite edge of u escapes.  Any such Y contains the tree of the
     ω-targets, and that tree is itself the smallest candidate, so the test
-    collapses to: u is not reachable from its own ω-targets, and some finite
-    edge of u leaves their tree.  (An emitter whose every edge lands in the
+    collapses to: some finite edge of u leaves their tree.  (That edge also
+    keeps u outside: a tree holding u holds all of u's targets.)  (An emitter whose every edge lands in the
     tree never witnesses the obstruction: the zero-escape case is what the
     v^H elements degenerate on, not what poisons proper infiniteness.)
     """
@@ -140,7 +140,7 @@ def breaking_capable(g: Graph) -> tuple[str, ...]:
             g.mask_of(b.target for b in bundles if b.mult is OMEGA)
         )
         escape = g.mask_of(b.target for b in bundles if b.mult is not OMEGA)
-        if escape & ~held and not held & g.mask_of((u,)):
+        if escape & ~held:
             out.append(u)
     return tuple(out)
 

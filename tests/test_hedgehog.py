@@ -79,6 +79,17 @@ def test_omega_final_edge_makes_f_infinite():
     assert not hh.finite
 
 
+def test_omega_mid_edge_makes_f_infinite():
+    # infinitely many edges a -> b, each continuing with f into H = {h}
+    g = parse_graph(
+        "vertices a b h\nbundle m a b omega\nedge f b h\nedge l h h\n"
+    )
+    assert not hedgehog_is_finite(g, ("h",), ())
+    hh = build_hedgehog(g, ("h",), ())
+    assert not hh.finite
+    assert sorted(hh.path_vertex_table) == ["p:f"]
+
+
 def test_breaking_vertex_in_s_keeps_omega_bundle():
     g = fixture_graph("omega-h")
     hh = build_hedgehog(g, ("h", "x"), ("u",))
