@@ -133,8 +133,8 @@ def _count_paths(route, depth_limit) -> tuple[int, int]:
     paths = edges = k = 0
     while level and edges <= MAX_PATH_EDGES and k != depth_limit:
         k += 1
-        paths += sum(level.values())
-        edges += k * sum(level.values())
+        count = sum(level.values())
+        paths, edges = paths + count, edges + k * count
         below: dict[str, int] = {}
         for t, n in level.items():
             for b in mid_into.get(t, ()):
