@@ -18,11 +18,10 @@ import math
 from dataclasses import dataclass
 
 from .closures import (
+    _hereditary_saturated,
     breaking_capable,
     breaking_vertices,
     hs_closure,
-    is_hereditary,
-    is_saturated,
 )
 from .errors import InvariantViolation
 from .graph import INFINITE_EMITTER, OMEGA, Graph, condense, per_graph, to_text
@@ -83,33 +82,22 @@ def csp_classes(g: Graph) -> dict:
 
 def line_points(g: Graph) -> tuple[str, ...]:
     """Vertices whose tree contains no bifurcation and no cycle (P_l)."""
-    on_cycle = ~_class_mask(g, CSP_ZERO)
-    return g.set_of(~g.reaching(g.bifurcations | on_cycle))
+    return classify(g).p_l
 
 
 def cycles_without_exits(g: Graph) -> tuple[str, ...]:
     """Vertices on cycles without exits (P_c): terminal SCCs of class One."""
-    return g.set_of(_class_mask(g, CSP_ONE, terminal=True))
+    return classify(g).p_c
 
 
 def extreme_cycles(g: Graph) -> tuple[str, ...]:
-    """Vertices of extreme cycles (P_ec): terminal SCCs of class TwoPlus.
-
-    A terminal SCC's out-edges all stay inside it, so every departing path
-    returns, and TwoPlus means its cycles have exits.  The equivalence with
-    the path-return definition is oracle-tested rather than assumed.
-    """
-    return g.set_of(_class_mask(g, CSP_TWO_PLUS, terminal=True))
+    """Vertices of extreme cycles (P_ec): terminal SCCs of class TwoPlus."""
+    return classify(g).p_ec
 
 
 def b_infinity(g: Graph) -> tuple[str, ...]:
-    """Vertices whose tree contains an infinite emitter (P_b∞).
-
-    With finitely many vertices the "infinitely many bifurcations" clause of
-    the general definition cannot fire, so reaching an ω-bundle source is the
-    whole criterion.
-    """
-    return g.set_of(g.reaching(g.kind_mask(INFINITE_EMITTER)))
+    """Vertices whose tree contains an infinite emitter (P_b∞)."""
+    return classify(g).p_binf
 
 
 @per_graph
@@ -122,69 +110,45 @@ def properly_infinite(g: Graph) -> tuple[str, ...]:
     monotone.
     """
     two_mask = _class_mask(g, CSP_TWO_PLUS)
-    closures: dict[int, set] = {}
-    result = []
-    for v, reach in zip(g.vertices, g.reach_masks()):
+    closures: dict[int, int] = {}
+    found = 0
+    for i, reach in enumerate(g.reach_masks()):
         wmask = reach & two_mask
         if wmask not in closures:
-            closures[wmask] = set(hs_closure(g, g.set_of(wmask)).members)
-        if v in closures[wmask]:
-            result.append(v)
-    return tuple(result)
+            closures[wmask] = g.mask_of(hs_closure(g, g.set_of(wmask)))
+        found |= closures[wmask] & (1 << i)
+    return g.set_of(found)
 
 
-@per_graph
 def p_ppi(g: Graph) -> tuple[str, ...]:
-    """Vertices with a properly infinite, breaking-vertex-free tree (P_ppi).
-
-    "Breaking-vertex-free" reads on the members of the tree: no vertex of
-    T(v) may be a breaking vertex of any hereditary set.  (Testing whether
-    the tree itself has breaking vertices outside it would wrongly evict
-    extreme cycles that an external emitter pours into, and the P_ec ⊆ P_ppi
-    containment would fail.)
-    """
-    bad = ~g.mask_of(properly_infinite(g)) | g.mask_of(breaking_capable(g))
-    out = g.set_of(~g.reaching(bad))
-    if not is_hereditary(g, out) or not is_saturated(g, out):
-        raise InvariantViolation(
-            f"P_ppi = {list(out)} is not hereditary+saturated",
-            graph_text=to_text(g),
-        )
-    return out
+    """Vertices with a properly infinite, breaking-vertex-free tree (P_ppi)."""
+    return classify(g).p_ppi
 
 
 def split_ppi(g: Graph) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
-    """The (P_ec′, P_pec, P′) split of P_ppi.
-
-    P_ec′ = extreme-cycle vertices reachable from some vertex of
-    P_ppi ∖ P_ec; P_pec = P_ec ∖ P_ec′; P′ = P_ppi ∖ P_pec.
-    """
-    ec = _class_mask(g, CSP_TWO_PLUS, terminal=True)
-    ppi = g.mask_of(p_ppi(g))
-    seen = g.tree_mask(ppi & ~ec)
-    pec = ec & ~seen
-    return g.set_of(ec & seen), g.set_of(pec), g.set_of(ppi & ~pec)
+    """The (P_ec′, P_pec, P′) split of P_ppi."""
+    c = classify(g)
+    return c.p_ec_prime, c.p_pec, c.p_prime
 
 
 def condition_K(g: Graph) -> bool:
     """No vertex is the base of exactly one closed simple path."""
-    return not _class_mask(g, CSP_ONE)
+    return classify(g).condition_K
 
 
 def condition_L(g: Graph) -> bool:
     """Every cycle has an exit."""
-    return not cycles_without_exits(g)
+    return classify(g).condition_L
 
 
 def p_K(g: Graph) -> tuple[str, ...]:
     """Vertices whose whole tree is free of One-class vertices (P_(K))."""
-    return g.set_of(~g.reaching(_class_mask(g, CSP_ONE)))
+    return classify(g).p_K
 
 
 def p_ex(g: Graph) -> tuple[str, ...]:
     """Generators of the largest exchange ideal: P_(K) ∪ B_{P_(K)}."""
-    core = p_K(g)
-    return g.set_of(g.mask_of(core + breaking_vertices(g, core).members))
+    return classify(g).p_ex
 
 
 @dataclass(frozen=True)
@@ -208,48 +172,57 @@ class Classification:
 
 @per_graph
 def classify(g: Graph) -> Classification:
-    """Run every classifier and cross-check the structural invariants."""
-    ec_prime, pec, prime = split_ppi(g)
-    result = Classification(
-        p_l=line_points(g),
-        p_c=cycles_without_exits(g),
-        p_ec=extreme_cycles(g),
-        p_binf=b_infinity(g),
-        p_pi=properly_infinite(g),
-        p_ppi=p_ppi(g),
-        p_ec_prime=ec_prime,
-        p_pec=pec,
-        p_prime=prime,
-        p_K=p_K(g),
-        p_ex=p_ex(g),
-        condition_K=condition_K(g),
-        condition_L=condition_L(g),
-    )
-    _check_classification(g, result)
-    return result
+    """Every classifier set as one pipeline of masks, certified, then named.
 
+    docs/design-notes.md ("Vertex classifiers") gives the reading of each
+    set.  Each check on the masks raises ``InvariantViolation`` with the
+    reproducer graph.
+    """
+    full = (1 << len(g.vertices)) - 1
+    one = _class_mask(g, CSP_ONE)
+    two = _class_mask(g, CSP_TWO_PLUS)
+    p_c = _class_mask(g, CSP_ONE, terminal=True)
+    p_ec = _class_mask(g, CSP_TWO_PLUS, terminal=True)
+    p_l = full & ~g.reaching(g.bifurcations | one | two)
+    p_binf = g.reaching(g.kind_mask(INFINITE_EMITTER))
+    p_pi = g.mask_of(properly_infinite(g))
+    # capability is read on the members of T(v): asking for breaking vertices
+    # of T(v) itself would evict extreme cycles an outside emitter pours into
+    p_ppi = full & ~g.reaching(~p_pi | g.mask_of(breaking_capable(g)))
+    seen = g.tree_mask(p_ppi & ~p_ec)
+    p_ec_prime, p_pec = p_ec & seen, p_ec & ~seen
+    p_prime = p_ppi & ~p_pec
+    p_K = full & ~g.reaching(one)
+    p_ex = p_K | g.mask_of(breaking_vertices(g, g.set_of(p_K)))
+    cond_K = not one
+    # a cycle without exits is a non-trivial SCC with no bifurcation
+    cond = condense(g)
+    cond_L = all(t or m & g.bifurcations for t, m in zip(cond.trivial, cond.masks))
 
-def _check_classification(g: Graph, c: Classification) -> None:
     def fail(detail: str):
         raise InvariantViolation(detail, graph_text=to_text(g))
 
-    pec, prime, ppi = set(c.p_pec), set(c.p_prime), set(c.p_ppi)
-    if pec | prime != ppi or pec & prime:
-        fail("P_pec and P' do not partition P_ppi")
-    if not set(c.p_ec) <= set(c.p_pi):
+    if p_ec & ~p_pi:
         fail("P_ec is not contained in P_pi")
-    if set(c.p_ec_prime) | pec != set(c.p_ec) or set(c.p_ec_prime) & pec:
+    for name, mask in (("P_ppi", p_ppi), ("P_(K)", p_K)):
+        if not _hereditary_saturated(g, mask):
+            fail(f"{name} = {list(g.set_of(mask))} is not hereditary+saturated")
+    if p_pec | p_prime != p_ppi or p_pec & p_prime:
+        fail("P_pec and P' do not partition P_ppi")
+    if p_ec_prime | p_pec != p_ec or p_ec_prime & p_pec:
         fail("P_ec' and P_pec do not partition P_ec")
-    for a, b, name in (
-        (c.p_l, c.p_c, "P_l/P_c"),
-        (c.p_l, c.p_ec, "P_l/P_ec"),
-        (c.p_c, c.p_ec, "P_c/P_ec"),
-    ):
-        if set(a) & set(b):
-            fail(f"{name} are not disjoint")
-    if c.condition_L != (not c.p_c):
+    if p_l & p_c or p_l & p_ec or p_c & p_ec:
+        fail("P_l, P_c and P_ec are not pairwise disjoint")
+    if cond_L != (not p_c):
         fail("Condition (L) disagrees with P_c")
-    if c.condition_K != (set(c.p_K) == set(g.vertices)):
+    if cond_K != (p_K == full):
         fail("Condition (K) disagrees with P_(K)")
-    if not is_hereditary(g, c.p_K) or not is_saturated(g, c.p_K):
-        fail("P_(K) is not hereditary+saturated")
+
+    return Classification(
+        *map(g.set_of, (
+            p_l, p_c, p_ec, p_binf, p_pi, p_ppi, p_ec_prime, p_pec, p_prime,
+            p_K, p_ex,
+        )),
+        condition_K=cond_K,
+        condition_L=cond_L,
+    )

@@ -39,6 +39,12 @@ def is_saturated(g: Graph, members) -> bool:
     return not _kernel.saturation_step(g.mask_of(members), _regular_targets(g))
 
 
+def _hereditary_saturated(g: Graph, mask: int) -> bool:
+    return g.tree_mask(mask) == mask and not _kernel.saturation_step(
+        mask, _regular_targets(g)
+    )
+
+
 @dataclass(frozen=True)
 class HereditarySet:
     """A vertex set with its hereditary/saturated flags certified on build."""
@@ -49,7 +55,7 @@ class HereditarySet:
     rounds: int | None = field(default=None, compare=False)
 
     def __contains__(self, v) -> bool:
-        return v in set(self.members)
+        return v in self.members
 
     def __iter__(self):
         return iter(self.members)
@@ -69,7 +75,7 @@ class BreakingSet:
     outside_counts: dict
 
     def __contains__(self, v) -> bool:
-        return v in set(self.members)
+        return v in self.members
 
     def __iter__(self):
         return iter(self.members)
@@ -171,39 +177,26 @@ def density_check(g: Graph, X) -> DensityResult:
     """Does every vertex of the graph connect to X?
 
     X may be any vertex set (the classifier union this is applied to is not
-    hereditary in general).
+    hereditary in general).  One breadth-first pass from X along in-bundles
+    gives each vertex its distance to X; then, in that order, a vertex's
+    witness is its smallest-id out-bundle one step nearer X followed by the
+    witness of that bundle's target.
     """
-    members = set(X)
-    g.check_vertices(members)
-    dist: dict[str, int] = {v: 0 for v in sorted(members)}
-    frontier = sorted(members)
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for b in g.in_bundles(w):
-                if b.source not in dist:
-                    dist[b.source] = dist[w] + 1
-                    nxt.append(b.source)
-        frontier = sorted(nxt)
-    witnesses: dict = {}
-    dense = True
-    for v in g.vertices:
-        if v not in dist:
-            witnesses[v] = None
-            dense = False
-            continue
-        path = []
-        u = v
-        while dist[u] > 0:
-            step = min(
-                (
-                    b
-                    for b in g.out_bundles(u)
-                    if b.target in dist and dist[b.target] == dist[u] - 1
-                ),
-                key=lambda b: b.id,
+    dist = dict.fromkeys(X, 0)
+    order = list(dist)
+    for w in order:
+        for b in g.in_bundles(w):
+            if b.source not in dist:
+                dist[b.source] = dist[w] + 1
+                order.append(b.source)
+    witnesses: dict = dict.fromkeys(g.vertices)
+    for v in order:
+        if dist[v]:
+            # out-bundles are kept in id order: the first match is the smallest
+            step = next(
+                b for b in g.out_bundles(v) if dist.get(b.target) == dist[v] - 1
             )
-            path.append(step.id)
-            u = step.target
-        witnesses[v] = tuple(path)
-    return DensityResult(dense, witnesses)
+            witnesses[v] = (step.id,) + witnesses[step.target]
+        else:
+            witnesses[v] = ()
+    return DensityResult(len(dist) == len(g.vertices), witnesses)

@@ -15,6 +15,7 @@ import functools
 import hashlib
 import re
 from dataclasses import dataclass
+from itertools import compress
 
 from . import _kernel
 from .errors import GraphSyntaxError, GraphValidationError
@@ -44,6 +45,9 @@ REGULAR = "Regular"
 INFINITE_EMITTER = "InfiniteEmitter"
 
 _KEYWORDS = frozenset({"vertices", "edge", "bundle", "omega"})
+
+# binary digits as the bytes 0 and 1, the selectors of ``Graph.set_of``
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def is_valid_id(token: str) -> bool:
@@ -147,6 +151,7 @@ class Graph:
         self._vertices = tuple(sorted(vs))
         self._bundles = tuple(sorted(bs, key=lambda b: b.id))
         self._index = index = {v: i for i, v in enumerate(self._vertices)}
+        self._full = (1 << len(vs)) - 1
         self._by_id = {b.id: b for b in self._bundles}
         out: list[list[EdgeBundle]] = [[] for _ in self._vertices]
         inc: list[list[EdgeBundle]] = [[] for _ in self._vertices]
@@ -248,9 +253,8 @@ class Graph:
 
     def set_of(self, mask: int) -> tuple[str, ...]:
         """The ids in ``mask``, sorted; a complement ``~m`` is accepted."""
-        return tuple(
-            v for i, v in enumerate(self._vertices) if mask >> i & 1
-        )
+        bits = format(mask & self._full, "b").encode()[::-1].translate(_BITS)
+        return tuple(compress(self._vertices, bits))
 
     @property
     def target_masks(self) -> tuple[int, ...]:

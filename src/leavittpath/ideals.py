@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import classify
+from .classify import classify, p_ppi
 from .closures import breaking_vertices, density_check, hs_closure
 from .errors import GraphValidationError, InvariantViolation
 from .graph import Graph, condense, to_text
@@ -57,8 +57,6 @@ def is_purely_infinite_ideal(g: Graph, d: GradedIdealDescriptor) -> bool:
     """
     if d.S:
         return False
-    from .classify import p_ppi
-
     return set(d.H) <= set(p_ppi(g))
 
 

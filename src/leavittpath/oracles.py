@@ -283,3 +283,33 @@ def breaking_capable_oracle(g: Graph) -> tuple:
         if omega and any(u not in y and omega <= y and finite - y for y in hereditary):
             out.append(u)
     return tuple(out)
+
+
+def p_K_oracle(g: Graph) -> tuple:
+    """P_(K): the vertices v with no w ∈ T(v) of class One."""
+    reach = reach_sets(g)
+    one = {u for u in g.vertices if csp_class_oracle(g, u) == "One"}
+    return tuple(sorted(v for v in g.vertices if not reach[v] & one))
+
+
+def p_ppi_oracle(g: Graph) -> tuple:
+    """P_ppi: every w ∈ T(v) is properly infinite and not breaking-capable."""
+    reach = reach_sets(g)
+    good = set(properly_infinite_subsets_oracle(g)) - set(
+        breaking_capable_oracle(g)
+    )
+    return tuple(sorted(v for v in g.vertices if reach[v] <= good))
+
+
+def p_ex_oracle(g: Graph) -> tuple:
+    """P_ex: P_(K) plus each infinite emitter outside it with finitely many
+    edges leaving P_(K)."""
+    core = set(p_K_oracle(g))
+    out = set(core)
+    for u in g.vertices:
+        bundles = g.out_bundles(u)
+        if u not in core and any(b.mult is OMEGA for b in bundles) and all(
+            b.mult is not OMEGA for b in bundles if b.target not in core
+        ):
+            out.add(u)
+    return tuple(sorted(out))

@@ -71,8 +71,7 @@ def check_maximality(g: Graph) -> None:
     base = ideal_descriptor(g, c.p_ppi)
     if not is_purely_infinite_ideal(g, base):
         _fail("P_ppi descriptor rejected by is_purely_infinite_ideal")
-    outside = [v for v in g.vertices if v not in set(c.p_ppi)]
-    for v in outside:
+    for v in g.set_of(~g.mask_of(c.p_ppi)):
         grown = ideal_descriptor(g, c.p_ppi + (v,))
         if is_purely_infinite_ideal(g, grown):
             _fail(f"descriptor still purely infinite after adding '{v}'")

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .closures import breaking_vertices
 from .errors import ExpressionError, GraphValidationError
-from .graph import OMEGA, Graph, parse_instance, per_graph
+from .graph import OMEGA, Graph, instance_id, parse_instance, per_graph
 
 
 def _inst_bundle(g: Graph, inst: str):
@@ -209,8 +209,6 @@ class AlgebraElement:
     @staticmethod
     def edge(g: Graph, inst: str) -> "AlgebraElement":
         b, idx = parse_instance(g, inst)
-        from .graph import instance_id
-
         mono = Monomial((instance_id(b, idx),), (), b.target)
         return AlgebraElement(g, {mono: Fraction(1)}, _normalized=True)
 

@@ -5,11 +5,15 @@ Each expected tuple below was worked out on paper from the definitions
 implementation.
 """
 
+import importlib
+import re
+
 import pytest
 
 from leavittpath import (
     EdgeBundle,
     Graph,
+    InvariantViolation,
     classify,
     cli,
     condition_K,
@@ -218,3 +222,38 @@ def test_conditions_on_fixtures():
 def test_classification_cached_per_graph():
     g = fixture_graph("six")
     assert classify(g) is classify(g)
+
+
+# (graph, classify's collaborator to break, its broken value, the message)
+BROKEN_CERTIFICATIONS = {
+    # the doubled loop at a is an extreme cycle that P_pi loses
+    "p_ec_outside_p_pi": (
+        "vertices a\nedge l a a x2\n",
+        "properly_infinite", (), "P_ec is not contained in P_pi",
+    ),
+    # marking v capable evicts it from P_ppi = {a}, though v is regular
+    # and emits only into a
+    "p_ppi_unsaturated": (
+        "vertices a v\nedge e v a\nedge l a a x2\n",
+        "breaking_capable", ("v",),
+        "P_ppi = ['a'] is not hereditary+saturated",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_CERTIFICATIONS))
+def test_broken_classifier_input_is_certified(case, monkeypatch, tmp_path, capsys):
+    text, name, value, message = BROKEN_CERTIFICATIONS[case]
+    # the package's classify() function shadows the submodule's name
+    module = importlib.import_module("leavittpath.classify")
+    monkeypatch.setattr(module, name, lambda g: value)
+    with pytest.raises(InvariantViolation, match=re.escape(message)) as ei:
+        classify(parse_graph(text))
+    assert ei.value.graph_text == text
+
+    path = tmp_path / "broken.lpa"
+    path.write_text(text)
+    assert cli.run(["classify", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert f"invariant violation: {message}" in err
+    assert f"--- reproducer graph ---\n{text}" in err

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from leavittpath import (
@@ -16,6 +18,8 @@ from leavittpath import (
     saturate_once,
     to_text,
 )
+
+from leavittpath.random_graphs import random_graphs
 
 from conftest import fixture_graph
 
@@ -140,6 +144,53 @@ def test_density_check_witnesses():
     r3 = density_check(g2, ("a",))
     assert not r3.dense
     assert r3.witnesses["b"] is None
+
+
+def _distances_to(g, X):
+    """Edge distance from each vertex to X, by BFS over ``g.targets`` alone."""
+    dist = {}
+    for v in g.vertices:
+        frontier, seen, d = {v}, {v}, 0
+        while frontier and not frontier & set(X):
+            frontier = {t for u in frontier for t in g.targets(u)} - seen
+            seen |= frontier
+            d += 1
+        if frontier:
+            dist[v] = d
+    return dist
+
+
+def test_density_witnesses_are_shortest_paths_into_x():
+    rng = random.Random(1907)
+    for g in random_graphs(400, 1907, max_vertices=6):
+        X = [v for v in g.vertices if rng.random() < 0.3]
+        r = density_check(g, X)
+        dist = _distances_to(g, X)
+        assert r.dense == (len(dist) == len(g.vertices)), to_text(g)
+        assert list(r.witnesses) == list(g.vertices)
+        for v, path in r.witnesses.items():
+            if v not in dist:
+                assert path is None, to_text(g)
+                continue
+            assert len(path) == dist[v], to_text(g)
+            at = v
+            for eid in path:
+                b = g.bundle(eid)
+                assert b.source == at, to_text(g)
+                at = b.target
+            assert at in X, to_text(g)
+
+
+def test_density_witness_takes_smallest_first_step():
+    # both e1 (v -> p) and e2 (v -> q) are one step nearer t; the smaller
+    # first step wins although its suffix e9 is larger than e2's suffix e3
+    g = parse_graph(
+        "vertices v p q t\nedge e1 v p\nedge e2 v q\n"
+        "edge e3 q t\nedge e9 p t\n"
+    )
+    r = density_check(g, ("t",))
+    assert r.witnesses["v"] == ("e1", "e9")
+    assert r.witnesses["q"] == ("e3",)
 
 
 def test_closure_result_is_plain_data():

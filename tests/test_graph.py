@@ -91,6 +91,7 @@ def test_reachable():
     assert reachable(g, ("v2",)) == ("v2", "v3")
     assert reachable(g, ("v1",)) == ("v1", "v2", "v3", "v4")
     assert reachable(g, ()) == ()
+    assert g.set_of(~g.mask_of(("v2",))) == ("v1", "v3", "v4")
 
 
 def test_reach_masks_long_cycle():

@@ -23,6 +23,9 @@ from leavittpath import (
     is_hereditary,
     is_saturated,
     line_points,
+    p_ex,
+    p_K,
+    p_ppi,
     parse_graph,
     reachable,
     saturate_once,
@@ -37,6 +40,9 @@ from leavittpath.oracles import (
     hereditary_saturated_sets,
     hs_closure_oracle,
     line_points_oracle,
+    p_ex_oracle,
+    p_K_oracle,
+    p_ppi_oracle,
     pprime_classes_oracle,
     properly_infinite_subsets_oracle,
     reach_sets,
@@ -176,6 +182,9 @@ def test_csp_and_cycle_sets_match_oracles_with_omega():
         assert line_points(g) == line_points_oracle(g), to_text(g)
         assert b_infinity(g) == b_infinity_oracle(g), to_text(g)
         assert breaking_capable(g) == breaking_capable_oracle(g), to_text(g)
+        assert p_K(g) == p_K_oracle(g), to_text(g)
+        assert p_ppi(g) == p_ppi_oracle(g), to_text(g)
+        assert p_ex(g) == p_ex_oracle(g), to_text(g)
 
 
 def _saturate_once_by_definition(g, X):
