@@ -67,6 +67,45 @@ def test_validation_rejects_dangling_and_duplicates():
         Graph(("v",), (EdgeBundle("e", "v", "v"), EdgeBundle("e", "v", "v")))
 
 
+def _b(eid, src="v", dst="v", mult=1):
+    return EdgeBundle(eid, src, dst, mult)
+
+
+# (vertices, bundles, message) for every check of Graph(...); the cases with
+# several faults pin which check runs first.
+VALIDATION_ERRORS = [
+    (("v", "v"), (), "duplicate id 'v'"),
+    (("v",), (_b("v"),), "duplicate id 'v'"),
+    (("v",), (_b("e"), _b("e")), "duplicate id 'e'"),
+    (("v", "w"), (_b("e", "v", "x"),), "bundle 'e' has dangling target 'x'"),
+    (("v", "w"), (_b("e", "x", "v"),), "bundle 'e' has dangling source 'x'"),
+    (("v",), (_b("e", mult=0),), "bundle 'e' has invalid multiplicity 0"),
+    (("v",), (_b("e", mult=-1),), "bundle 'e' has invalid multiplicity -1"),
+    (("v",), (_b("e", mult=2.5),), "bundle 'e' has invalid multiplicity 2.5"),
+    (("v",), (_b("e", mult="2"),), "bundle 'e' has invalid multiplicity '2'"),
+    # several faults
+    (("a", "b", "b"), (_b("a", "a", "a"),), "duplicate id 'b'"),
+    (("v",), (_b("e"), _b("e"), _b("v")), "duplicate id 'e'"),
+    (("v",), (_b("e", "v", "x"), _b("e")), "duplicate id 'e'"),
+    (("v",), (_b("e", "x", "y"),), "bundle 'e' has dangling source 'x'"),
+    (("v",), (_b("e", "x", "v", 0),), "bundle 'e' has dangling source 'x'"),
+    (("v",), (_b("e", "v", "y", 0),), "bundle 'e' has dangling target 'y'"),
+    (("v",), (_b("z", "v", "x"), _b("a", mult=0)),
+     "bundle 'z' has dangling target 'x'"),
+    (("v",), (_b("z", mult=0), _b("a", "x", "v")),
+     "bundle 'z' has invalid multiplicity 0"),
+    (("v", "w"), (_b("m"), _b("z", "w", "x"), _b("a", "y", "v")),
+     "bundle 'z' has dangling target 'x'"),
+]
+
+
+@pytest.mark.parametrize("vertices, bundles, message", VALIDATION_ERRORS)
+def test_validation_messages_and_precedence(vertices, bundles, message):
+    with pytest.raises(GraphValidationError) as ei:
+        Graph(vertices, bundles)
+    assert str(ei.value) == message
+
+
 def test_vertex_kinds():
     g = fixture_graph("omega-h")
     assert g.kind("u") == "InfiniteEmitter"
