@@ -43,11 +43,12 @@ def _scc_csp_classes(g: Graph) -> tuple[str, ...]:
     closed simple path (TwoPlus).
     """
     cond = condense(g)
+    scc_of = cond.scc_of
     internal = [0] * len(cond.sccs)
-    for b in g.bundles:
-        c = cond.scc_of[b.source]
-        if c == cond.scc_of[b.target]:
-            internal[c] += math.inf if b.mult is OMEGA else b.mult
+    for c, out, targets in zip(scc_of, g.out_table, g.successors):
+        for b, t in zip(out, targets):
+            if scc_of[t] == c:
+                internal[c] += math.inf if b.mult is OMEGA else b.mult
     return tuple(
         CSP_ZERO if cond.trivial[i]
         else CSP_ONE if internal[i] == len(scc)
@@ -69,15 +70,13 @@ def _class_mask(g: Graph, csp: str, terminal: bool = False) -> int:
 
 def csp_class(g: Graph, v: str) -> str:
     """Classify the number of closed simple paths based at v (0 / 1 / >= 2)."""
-    g.check_vertices((v,))
-    return _scc_csp_classes(g)[condense(g).scc_of[v]]
+    return _scc_csp_classes(g)[condense(g).scc_of[g.index(v)]]
 
 
 def csp_classes(g: Graph) -> dict:
     """csp_class for every vertex."""
-    scc_of = condense(g).scc_of
     classes = _scc_csp_classes(g)
-    return {v: classes[scc_of[v]] for v in g.vertices}
+    return dict(zip(g.vertices, map(classes.__getitem__, condense(g).scc_of)))
 
 
 def line_points(g: Graph) -> tuple[str, ...]:
@@ -168,6 +167,8 @@ class Classification:
     p_ex: tuple[str, ...]
     condition_K: bool
     condition_L: bool
+    # B_{P_(K)}: (vertex, number of its edges leaving P_(K)) per member
+    exchange_breaking: tuple[tuple[str, int], ...]
 
 
 @per_graph
@@ -193,7 +194,8 @@ def classify(g: Graph) -> Classification:
     p_ec_prime, p_pec = p_ec & seen, p_ec & ~seen
     p_prime = p_ppi & ~p_pec
     p_K = full & ~g.reaching(one)
-    p_ex = p_K | g.mask_of(breaking_vertices(g, g.set_of(p_K)))
+    breaking = breaking_vertices(g, g.set_of(p_K))
+    p_ex = p_K | g.mask_of(breaking)
     cond_K = not one
     # a cycle without exits is a non-trivial SCC with no bifurcation
     cond = condense(g)
@@ -225,4 +227,5 @@ def classify(g: Graph) -> Classification:
         )),
         condition_K=cond_K,
         condition_L=cond_L,
+        exchange_breaking=tuple(breaking.outside_counts.items()),
     )

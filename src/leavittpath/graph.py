@@ -15,7 +15,8 @@ import functools
 import hashlib
 import re
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate, chain, compress
+from operator import attrgetter
 
 from . import _kernel
 from .errors import GraphSyntaxError, GraphValidationError
@@ -113,6 +114,36 @@ def per_graph(fn):
     return memoized
 
 
+_bundle_id = attrgetter("id")
+
+
+def _raise_duplicate(vertices, bundles):
+    """Name the first id, vertices then bundles, that repeats an earlier one."""
+    seen = set()
+    for i in [*vertices, *map(_bundle_id, bundles)]:
+        if i in seen:
+            raise GraphValidationError(f"duplicate id '{i}'")
+        seen.add(i)
+
+
+def _raise_invalid_bundle(index, bundles):
+    """Name the first bundle, in input order, with a dangling endpoint or an
+    invalid multiplicity."""
+    for b in bundles:
+        if b.source not in index:
+            raise GraphValidationError(
+                f"bundle '{b.id}' has dangling source '{b.source}'"
+            )
+        if b.target not in index:
+            raise GraphValidationError(
+                f"bundle '{b.id}' has dangling target '{b.target}'"
+            )
+        if b.mult is not OMEGA and (not isinstance(b.mult, int) or b.mult < 1):
+            raise GraphValidationError(
+                f"bundle '{b.id}' has invalid multiplicity {b.mult!r}"
+            )
+
+
 class Graph:
     """Immutable directed graph with multiplicity-carrying edge bundles.
 
@@ -124,60 +155,61 @@ class Graph:
 
     def __init__(self, vertices, bundles=()):
         vs = list(vertices)
-        seen = set()
-        for v in vs:
-            if v in seen:
-                raise GraphValidationError(f"duplicate id '{v}'")
-            seen.add(v)
         bs = list(bundles)
-        for b in bs:
-            if b.id in seen:
-                raise GraphValidationError(f"duplicate id '{b.id}'")
-            seen.add(b.id)
-        vset = set(vs)
-        for b in bs:
-            if b.source not in vset:
-                raise GraphValidationError(
-                    f"bundle '{b.id}' has dangling source '{b.source}'"
-                )
-            if b.target not in vset:
-                raise GraphValidationError(
-                    f"bundle '{b.id}' has dangling target '{b.target}'"
-                )
-            if b.mult is not OMEGA and (not isinstance(b.mult, int) or b.mult < 1):
-                raise GraphValidationError(
-                    f"bundle '{b.id}' has invalid multiplicity {b.mult!r}"
-                )
-        self._vertices = tuple(sorted(vs))
-        self._bundles = tuple(sorted(bs, key=lambda b: b.id))
-        self._index = index = {v: i for i, v in enumerate(self._vertices)}
-        self._full = (1 << len(vs)) - 1
-        self._by_id = {b.id: b for b in self._bundles}
-        out: list[list[EdgeBundle]] = [[] for _ in self._vertices]
-        inc: list[list[EdgeBundle]] = [[] for _ in self._vertices]
-        for b in self._bundles:
-            out[index[b.source]].append(b)
-            inc[index[b.target]].append(b)
+        ids = set(vs)
+        ids.update(map(_bundle_id, bs))
+        if len(ids) != len(vs) + len(bs):
+            _raise_duplicate(vs, bs)
+        self._vertices = verts = tuple(sorted(vs))
+        self._bundles = tuple(sorted(bs, key=_bundle_id))
+        self._index = index = dict(zip(verts, range(len(verts))))
+        self._full = (1 << len(verts)) - 1
+        self._by_id = dict(zip(map(_bundle_id, self._bundles), self._bundles))
+        # one pass over the bundles fills every per-index table; a dangling
+        # endpoint fails its lookup and a bad multiplicity its test, and the
+        # ordered loop then names the first offender in input order
+        out: list[list[EdgeBundle]] = [[] for _ in verts]
+        inc: list[list[EdgeBundle]] = [[] for _ in verts]
+        succ: list[list[int]] = [[] for _ in verts]
+        target_masks = [0] * len(verts)
+        emitters = 0
+        try:
+            for b in self._bundles:
+                s = index[b.source]
+                t = index[b.target]
+                if b.mult is OMEGA:
+                    emitters |= 1 << s
+                elif not isinstance(b.mult, int) or b.mult < 1:
+                    raise ValueError
+                out[s].append(b)
+                inc[t].append(b)
+                succ[s].append(t)
+                target_masks[s] |= 1 << t
+        except (KeyError, ValueError):
+            _raise_invalid_bundle(index, bs)
+        sinks = bifurcations = 0
+        kinds = []
+        for i, lst in enumerate(out):
+            if not lst:
+                sinks |= 1 << i
+                kinds.append(SINK)
+            else:
+                kinds.append(INFINITE_EMITTER if emitters >> i & 1 else REGULAR)
+                # ω, two bundles, or one bundle of multiplicity k >= 2
+                if len(lst) > 1 or lst[0].mult != 1:
+                    bifurcations |= 1 << i
         self._out = tuple(map(tuple, out))
         self._in = tuple(map(tuple, inc))
-        self._targets = tuple(
-            tuple(sorted({b.target for b in lst})) for lst in out
-        )
-        self._target_masks = tuple(
-            sum(1 << index[t] for t in ts) for ts in self._targets
-        )
-        self._kinds = tuple(
-            INFINITE_EMITTER if any(b.mult is OMEGA for b in lst)
-            else REGULAR if lst
-            else SINK
-            for lst in out
-        )
-        self._kind_masks = dict.fromkeys((SINK, REGULAR, INFINITE_EMITTER), 0)
-        self._bifurcations = 0
-        for i, kind in enumerate(self._kinds):
-            self._kind_masks[kind] |= 1 << i
-            if kind == INFINITE_EMITTER or sum(b.mult for b in out[i]) >= 2:
-                self._bifurcations |= 1 << i
+        self._succ = tuple(map(tuple, succ))
+        self._target_masks = tuple(target_masks)
+        self._targets = None  # filled on first use of targets()
+        self._kinds = tuple(kinds)
+        self._kind_masks = {
+            SINK: sinks,
+            REGULAR: self._full & ~sinks & ~emitters,
+            INFINITE_EMITTER: emitters,
+        }
+        self._bifurcations = bifurcations
         self._memo: dict = {}
 
     # -- basic accessors ---------------------------------------------------
@@ -212,30 +244,21 @@ class Graph:
     def in_bundles(self, v: str) -> tuple[EdgeBundle, ...]:
         return self._in[self.index(v)]
 
-    def out_multiplicity(self, v: str):
-        """Total number of edges leaving v: an int, or OMEGA."""
-        total = 0
-        for b in self.out_bundles(v):
-            if b.mult is OMEGA:
-                return OMEGA
-            total += b.mult
-        return total
-
     def kind(self, v: str) -> str:
         return self._kinds[self.index(v)]
 
     def is_regular(self, v: str) -> bool:
         return self.kind(v) == REGULAR
 
-    def is_sink(self, v: str) -> bool:
-        return self.kind(v) == SINK
-
     def is_infinite_emitter(self, v: str) -> bool:
         return self.kind(v) == INFINITE_EMITTER
 
     def targets(self, v: str) -> tuple[str, ...]:
         """Distinct targets of v's out-bundles, sorted."""
-        return self._targets[self.index(v)]
+        targets = self._targets
+        if targets is None:
+            targets = self._targets = tuple(map(self.set_of, self._target_masks))
+        return targets[self.index(v)]
 
     # -- the integer view ---------------------------------------------------
 
@@ -255,6 +278,17 @@ class Graph:
         """The ids in ``mask``, sorted; a complement ``~m`` is accepted."""
         bits = format(mask & self._full, "b").encode()[::-1].translate(_BITS)
         return tuple(compress(self._vertices, bits))
+
+    @property
+    def out_table(self) -> tuple[tuple[EdgeBundle, ...], ...]:
+        """Per vertex index, its out-bundles in id order."""
+        return self._out
+
+    @property
+    def successors(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex index, the target index of each of its out-bundles,
+        in the order of ``out_table``."""
+        return self._succ
 
     @property
     def target_masks(self) -> tuple[int, ...]:
@@ -279,7 +313,7 @@ class Graph:
         """
         cond = condense(self)
         reach = _kernel.reach_masks(cond.masks, cond.dag)
-        return [reach[cond.scc_of[v]] for v in self._vertices]
+        return list(map(reach.__getitem__, cond.scc_of))
 
     def tree_mask(self, mask: int) -> int:
         """T(X) of the set ``mask``: every vertex it reaches, itself included."""
@@ -317,11 +351,12 @@ class Condensation:
     """SCC partition of a graph plus its component DAG.
 
     Component ids are assigned by smallest member vertex (sorted order),
-    so numbering is deterministic for a given graph.  ``masks[c]`` is the
-    vertex mask of component c.
+    so numbering is deterministic for a given graph.  ``scc_of[i]`` is the
+    component of vertex index i and ``masks[c]`` the vertex mask of
+    component c.
     """
 
-    scc_of: dict
+    scc_of: tuple[int, ...]
     sccs: tuple[tuple[str, ...], ...]
     masks: tuple[int, ...]
     dag: tuple[tuple[int, ...], ...]
@@ -338,43 +373,37 @@ class Condensation:
 
 @per_graph
 def condense(g: Graph) -> Condensation:
-    """Strongly connected components, their flags and the DAG (memoized)."""
-    index = g._index
-    indptr = [0]
-    indices: list[int] = []
-    for out in g._out:
-        indices.extend(index[b.target] for b in out)
-        indptr.append(len(indices))
-    labels = _kernel.scc_labels(len(g.vertices), indptr, indices)
+    """Strongly connected components, their flags and the DAG (memoized).
+
+    Read off the integer successors of the graph: no vertex name is looked
+    up.
+    """
+    succ = g._succ
+    labels = _kernel.scc_labels(
+        len(succ), [0, *accumulate(map(len, succ))], list(chain.from_iterable(succ))
+    )
     ncomp = max(labels) + 1 if labels else 0
     members: list[list[str]] = [[] for _ in range(ncomp)]
     masks = [0] * ncomp
-    for i, v in enumerate(g.vertices):
-        members[labels[i]].append(v)
-        masks[labels[i]] |= 1 << i
-    sccs = tuple(tuple(m) for m in members)
     dag_sets: list[set[int]] = [set() for _ in range(ncomp)]
-    has_self_bundle = [False] * ncomp
-    for b in g.bundles:
-        cs = labels[index[b.source]]
-        ct = labels[index[b.target]]
-        if cs == ct:
-            if b.source == b.target:
-                has_self_bundle[cs] = True
-        else:
-            dag_sets[cs].add(ct)
+    for i, (v, c, ts) in enumerate(zip(g.vertices, labels, succ)):
+        members[c].append(v)
+        masks[c] |= 1 << i
+        dag_sets[c].update(map(labels.__getitem__, ts))
+    for c, targets in enumerate(dag_sets):
+        targets.discard(c)
+    # a one-vertex SCC is non-trivial only through a self-loop
     trivial = tuple(
-        len(sccs[i]) == 1 and not has_self_bundle[i] for i in range(ncomp)
+        len(m) == 1 and not g._target_masks[masks[c].bit_length() - 1] & masks[c]
+        for c, m in enumerate(members)
     )
-    terminal = tuple(not dag_sets[i] for i in range(ncomp))
-    dag = tuple(tuple(sorted(s)) for s in dag_sets)
     return Condensation(
-        scc_of=dict(zip(g.vertices, labels)),
-        sccs=sccs,
+        scc_of=tuple(labels),
+        sccs=tuple(map(tuple, members)),
         masks=tuple(masks),
-        dag=dag,
+        dag=tuple(tuple(sorted(s)) for s in dag_sets),
         trivial=trivial,
-        terminal=terminal,
+        terminal=tuple(not s for s in dag_sets),
     )
 
 
@@ -405,6 +434,7 @@ def parse_graph(text: str) -> Graph:
     declared: set[str] = set()
     bundles: list[EdgeBundle] = []
     bundle_ids: set[str] = set()
+    ends: set[str] = set()
     bundle_lines: list[int] = []
 
     def error(message: str, k: int) -> GraphSyntaxError:
@@ -419,26 +449,27 @@ def parse_graph(text: str) -> Graph:
             pos = code.index(toks[k], pos)
         return GraphSyntaxError(message, lineno, pos + 1)
 
+    # each line is checked by one fast test; only when it fails does the
+    # ordered loop run, naming the first offender with its column
     for lineno, line in enumerate(lines, start=1):
-        toks = line.split("#", 1)[0].split()
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        toks = line.split()
         if not toks:
             continue
         head = toks[0]
-        if head == "vertices":
-            for k, tok in enumerate(toks[1:], 1):
-                if not is_valid_id(tok):
-                    raise error(f"invalid id '{tok}'", k)
-                if tok in declared:
-                    raise error(f"duplicate id '{tok}'", k)
-                declared.add(tok)
-                vertices.append(tok)
-        elif head in ("edge", "bundle"):
+        if head == "edge" or head == "bundle":
             if len(toks) < 4:
                 raise error(f"'{head}' needs <id> <src> <dst>", len(toks))
-            for k in (1, 2, 3):
-                if not is_valid_id(toks[k]):
-                    raise error(f"invalid id '{toks[k]}'", k)
-            eid, src, dst = toks[1:4]
+            eid, src, dst = toks[1], toks[2], toks[3]
+            if not (
+                line.isascii() and eid.isidentifier() and src.isidentifier()
+                and dst.isidentifier() and eid not in _KEYWORDS
+                and src not in _KEYWORDS and dst not in _KEYWORDS
+            ):
+                for k in (1, 2, 3):
+                    if not is_valid_id(toks[k]):
+                        raise error(f"invalid id '{toks[k]}'", k)
             if eid in bundle_ids or eid in declared:
                 raise error(f"duplicate id '{eid}'", 1)
             mult: object = 1
@@ -458,18 +489,38 @@ def parse_graph(text: str) -> Graph:
                     if mult == 0:
                         raise error("multiplicity 0", 4)
             bundle_ids.add(eid)
+            ends.add(src)
+            ends.add(dst)
             bundles.append(EdgeBundle(eid, src, dst, mult))
             bundle_lines.append(lineno)
+        elif head == "vertices":
+            ids = toks[1:]
+            if not (
+                line.isascii() and all(map(str.isidentifier, ids))
+                and _KEYWORDS.isdisjoint(ids) and declared.isdisjoint(ids)
+                and len(set(ids)) == len(ids)
+            ):
+                taken = set(declared)
+                for k, tok in enumerate(ids, 1):
+                    if not is_valid_id(tok):
+                        raise error(f"invalid id '{tok}'", k)
+                    if tok in taken:
+                        raise error(f"duplicate id '{tok}'", k)
+                    taken.add(tok)
+            declared.update(ids)
+            vertices += ids
         else:
             raise error(f"expected 'vertices', 'edge' or 'bundle', got '{head}'", 0)
 
-    for b, lineno in zip(bundles, bundle_lines):
-        for k, end in ((2, b.source), (3, b.target)):
-            if end not in declared:
-                raise error(f"dangling endpoint '{end}'", k)
-    for b, lineno in zip(bundles, bundle_lines):
-        if b.id in declared:
-            raise error(f"duplicate id '{b.id}'", 1)
+    if not ends <= declared:
+        for b, lineno in zip(bundles, bundle_lines):
+            for k, end in ((2, b.source), (3, b.target)):
+                if end not in declared:
+                    raise error(f"dangling endpoint '{end}'", k)
+    if not bundle_ids.isdisjoint(declared):
+        for b, lineno in zip(bundles, bundle_lines):
+            if b.id in declared:
+                raise error(f"duplicate id '{b.id}'", 1)
 
     return Graph(vertices, bundles)
 

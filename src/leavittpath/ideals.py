@@ -162,15 +162,11 @@ def largest_ideals_report(g: Graph) -> LargestIdealsReport:
         raise InvariantViolation(
             "four-set union failed the density check", to_text(g)
         )
-    breaking = breaking_vertices(g, cls.p_K)
-    exchange_breaking = tuple(
-        (v, breaking.outside_counts[v]) for v in breaking.members
-    )
 
     notes = []
     if cls.p_binf:
         notes.append(_FINITE_FRAGMENT_NOTE)
-    for v, count in exchange_breaking:
+    for v, count in cls.exchange_breaking:
         if count == 0:
             notes.append(
                 f"breaking vertex '{v}' emits no edges outside the closure; "
@@ -187,6 +183,6 @@ def largest_ideals_report(g: Graph) -> LargestIdealsReport:
         dense=density.dense,
         dense_witnesses=dict(density.witnesses),
         pi_classes=pi_decomposition(g),
-        exchange_breaking=exchange_breaking,
+        exchange_breaking=cls.exchange_breaking,
         notes=tuple(notes),
     )

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from leavittpath import (
@@ -13,7 +15,14 @@ from leavittpath import (
     to_dot,
     to_text,
 )
-from leavittpath.graph import instance_id, parse_instance
+from leavittpath.graph import (
+    INFINITE_EMITTER,
+    REGULAR,
+    SINK,
+    instance_id,
+    parse_instance,
+)
+from leavittpath.random_graphs import random_graphs
 
 from conftest import FIXTURE_NAMES, fixture_graph
 
@@ -117,6 +126,80 @@ def test_roundtrip_canonical_text():
     for name in FIXTURE_NAMES:
         g = fixture_graph(name)
         assert parse_graph(to_text(g)) == g, name
+
+
+def _view_from_definitions(vertices, bundles):
+    """Per vertex, every table of the integer view, worked out from the raw
+    vertex and bundle lists alone."""
+    vs = sorted(vertices)
+    bs = sorted(bundles, key=lambda b: b.id)
+    rows = []
+    for v in vs:
+        out = tuple(b for b in bs if b.source == v)
+        targets = tuple(sorted({b.target for b in out}))
+        omega = any(b.mult is OMEGA for b in out)
+        rows.append((
+            v,
+            out,
+            tuple(b for b in bs if b.target == v),
+            tuple(vs.index(b.target) for b in out),
+            targets,
+            sum(1 << vs.index(t) for t in targets),
+            INFINITE_EMITTER if omega else REGULAR if out else SINK,
+            omega or sum(b.mult for b in out) >= 2,
+        ))
+    return rows
+
+
+def test_view_matches_definitions():
+    rng = random.Random(8)
+    for g in random_graphs(300, seed=81, max_vertices=7):
+        assert parse_graph(to_text(g)) == g
+        vs, bs = list(g.vertices), list(g.bundles)
+        rng.shuffle(vs)
+        rng.shuffle(bs)
+        h = Graph(vs, bs)
+        assert h == g
+        rows = _view_from_definitions(vs, bs)
+        assert h.vertices == tuple(row[0] for row in rows)
+        for i, (v, out, inc, succ, targets, tmask, kind, bif) in enumerate(rows):
+            assert h.out_bundles(v) == h.out_table[i] == out
+            assert h.in_bundles(v) == inc
+            assert h.successors[i] == succ
+            assert h.targets(v) == targets
+            assert h.target_masks[i] == tmask
+            assert h.kind(v) == kind
+            for k in (SINK, REGULAR, INFINITE_EMITTER):
+                assert (h.kind_mask(k) >> i & 1) == (k == kind)
+            assert (h.bifurcations >> i & 1) == bif
+        _check_condensation(h)
+
+
+def _check_condensation(g):
+    """condense(g) against reachability worked out from the bundle list."""
+    vs = g.vertices
+    reach = {}
+    for v in vs:
+        seen, todo = {v}, [v]
+        while todo:
+            u = todo.pop()
+            for b in g.bundles:
+                if b.source == u and b.target not in seen:
+                    seen.add(b.target)
+                    todo.append(b.target)
+        reach[v] = seen
+    cond = condense(g)
+    for i, v in enumerate(vs):
+        c = cond.scc_of[i]
+        assert cond.masks[c] >> i & 1
+        assert set(cond.sccs[c]) == {w for w in vs if w in reach[v] and v in reach[w]}
+        loop = any(b.source == b.target == v for b in g.bundles)
+        assert cond.trivial[c] == (len(cond.sccs[c]) == 1 and not loop)
+        assert cond.dag[c] == tuple(sorted({
+            cond.scc_of[vs.index(b.target)] for b in g.bundles
+            if b.source in cond.sccs[c] and b.target not in cond.sccs[c]
+        }))
+        assert cond.terminal[c] == (not cond.dag[c])
 
 
 def test_digest_is_stable_under_reordering():
