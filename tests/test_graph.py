@@ -306,6 +306,34 @@ PARSE_ERRORS = [
 ]
 
 
+# Faults that only the per-line fast tests can see: a vertex declared on an
+# earlier line, a keyword or a non-ASCII id on an edge line.
+FAST_TEST_ERRORS = [
+    ("vertices a\nvertices b a", 2, 12, "duplicate id 'a'"),
+    ("vertices a b\nvertices c\nvertices b", 3, 10, "duplicate id 'b'"),
+    ("vertices a\nedge omega a a", 2, 6, "invalid id 'omega'"),
+    ("vertices a\nedge e a bundle", 2, 10, "invalid id 'bundle'"),
+    ("vertices a\nedge e vertices a x2", 2, 8, "invalid id 'vertices'"),
+    ("vertices a\nedge e é a", 2, 8, "invalid id 'é'"),
+    ("vertices a b　é", 1, 14, "invalid id 'é'"),
+]
+
+
+@pytest.mark.parametrize("text, line, column, message", FAST_TEST_ERRORS)
+def test_parse_errors_behind_fast_tests(text, line, column, message):
+    with pytest.raises(GraphSyntaxError) as ei:
+        parse_graph(text + "\n")
+    assert (ei.value.line, ei.value.column, ei.value.reason) == (
+        line, column, message,
+    )
+
+
+def test_non_ascii_spaces_between_valid_ids():
+    # a Unicode space fails a line's fast test; the ordered loop finds no fault
+    g = parse_graph("vertices a　b\nedge e a b x2\n")
+    assert g == parse_graph("vertices a b\nedge e a b x2\n")
+
+
 @pytest.mark.parametrize("text, line, column, message", PARSE_ERRORS)
 def test_parse_error_positions(text, line, column, message):
     with pytest.raises(GraphSyntaxError) as ei:
