@@ -17,14 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .closures import (
-    _hereditary_saturated,
-    breaking_capable,
-    breaking_vertices,
-    hs_closure,
-)
+from .closures import _hereditary_saturated, breaking_capable, breaking_vertices
 from .errors import InvariantViolation
-from .graph import INFINITE_EMITTER, OMEGA, Graph, condense, per_graph, to_text
+from .graph import INFINITE_EMITTER, OMEGA, SINK, Graph, condense, per_graph, to_text
 
 CSP_ZERO = "Zero"
 CSP_ONE = "One"
@@ -104,18 +99,20 @@ def properly_infinite(g: Graph) -> tuple[str, ...]:
     """Properly infinite vertices: v lies in the closure of its TwoPlus tree.
 
     W_v = {w in T(v) : csp_class(w) = TwoPlus}; v is properly infinite iff
-    v ∈ hs_closure(W_v).  Using the single maximal witness set is equivalent
-    to the existential over finite subsets because the closure operator is
-    monotone.
+    v ∈ hs_closure(W_v), with no closure run: v lies in the saturation of
+    the hereditary set H = T(W_v) exactly when every sink, infinite
+    emitter and cycle vertex of T(v) lies in H (docs/design-notes.md,
+    "Hereditary saturated closures").  Every TwoPlus vertex of T(v) is in
+    H, so only the One-class cycle vertices are tested.  T(v) is constant
+    on an SCC, so the test runs once per SCC.
     """
-    two_mask = _class_mask(g, CSP_TWO_PLUS)
-    closures: dict[int, int] = {}
+    two = _class_mask(g, CSP_TWO_PLUS)
+    bad = g.kind_mask(SINK) | g.kind_mask(INFINITE_EMITTER) | _class_mask(g, CSP_ONE)
     found = 0
-    for i, reach in enumerate(g.reach_masks()):
-        wmask = reach & two_mask
-        if wmask not in closures:
-            closures[wmask] = g.mask_of(hs_closure(g, g.set_of(wmask)))
-        found |= closures[wmask] & (1 << i)
+    for m in condense(g).masks:
+        tree = g.tree_mask(m)
+        if not tree & bad & ~g.tree_mask(tree & two):
+            found |= m
     return g.set_of(found)
 
 

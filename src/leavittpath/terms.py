@@ -70,35 +70,6 @@ class Monomial:
         return " ".join(parts)
 
 
-def _check_path(g: Graph, insts: tuple[str, ...]) -> None:
-    for a, b in zip(insts, insts[1:]):
-        if _inst_target(g, a) != _inst_source(g, b):
-            raise GraphValidationError(
-                f"'{a}' and '{b}' are not consecutive edges"
-            )
-
-
-def make_monomial(g: Graph, real, ghost, anchor=None) -> Monomial:
-    """Validated monomial; the anchor is derived when either path is nonempty."""
-    real, ghost = tuple(real), tuple(ghost)
-    _check_path(g, real)
-    _check_path(g, ghost)
-    if real:
-        derived = _inst_target(g, real[-1])
-    elif ghost:
-        derived = _inst_target(g, ghost[-1])
-    else:
-        if anchor is None:
-            raise GraphValidationError("vertex monomial needs an anchor")
-        g.check_vertices((anchor,))
-        derived = anchor
-    if ghost and _inst_target(g, ghost[-1]) != derived:
-        raise GraphValidationError("real and ghost paths must share their range")
-    if anchor is not None and anchor != derived:
-        raise GraphValidationError("anchor disagrees with the path ranges")
-    return Monomial(real, ghost, derived)
-
-
 @per_graph
 def _out_instance_table(g: Graph) -> dict:
     """Per-vertex table for _out_instances, filled on demand: a vertex the
@@ -107,11 +78,12 @@ def _out_instance_table(g: Graph) -> dict:
 
 
 def _out_instances(g: Graph, v: str) -> tuple[str, ...]:
-    """Edge instances leaving the Regular vertex v, in canonical order."""
+    """Edge instances leaving the Regular vertex v, in canonical order
+    (out-bundles are kept in id order)."""
     table = _out_instance_table(g)
     if v not in table:
         insts = []
-        for b in sorted(g.out_bundles(v), key=lambda b: b.id):
+        for b in g.out_bundles(v):
             insts.extend(b.instances)
         table[v] = tuple(insts)
     return table[v]

@@ -8,6 +8,7 @@ at about 0.52 ms each, so about 6 h) runs the same oracle checks through
 ``lpa selftest --exhaustive-n4``.
 """
 
+import dataclasses
 import itertools
 import json
 import os
@@ -33,7 +34,12 @@ from leavittpath import (
 )
 from leavittpath import cli
 from leavittpath.random_graphs import enumerate_graphs, random_graphs, sample_graphs
-from leavittpath.selftest import check_invariants, check_maximality, check_oracles
+from leavittpath.selftest import (
+    _Mismatch,
+    check_invariants,
+    check_maximality,
+    check_oracles,
+)
 from leavittpath.terms import AlgebraElement, _out_instances
 
 from conftest import FIXTURE_NAMES, fixture_graph, fixture_path
@@ -148,6 +154,19 @@ def test_criterion_6_maximality_probe(capsys, random_pool):
     with criterion(capsys, 6, "largest-purely-infinite maximality probe"):
         for g in random_pool:
             check_maximality(g)
+
+
+def test_maximality_probe_rejects_a_smaller_p_ppi(monkeypatch):
+    # w and x both carry a doubled loop; P_ppi = {w, x}, but the closure of
+    # the extreme cycle alone is {x}: a hereditary saturated set that only
+    # the maximality probe tells apart from P_ppi
+    g = parse_graph("vertices w x\nedge a w x\nedge l w w x2\nedge k x x x2\n")
+    assert classify(g).p_ppi == ("w", "x")
+    check_maximality(g)
+    smaller = dataclasses.replace(classify(g), p_ppi=("x",))
+    monkeypatch.setattr("leavittpath.selftest.classify", lambda g: smaller)
+    with pytest.raises(_Mismatch, match="closure of P_ppi plus 'w'"):
+        check_maximality(g)
 
 
 def _generator_elements(g):

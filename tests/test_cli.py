@@ -9,7 +9,7 @@ from leavittpath import InvariantViolation
 from leavittpath import cli
 from leavittpath.random_graphs import enumerate_graphs
 
-from conftest import ROOT, fixture_path
+from conftest import FIXTURE_NAMES, ROOT, fixture_path
 
 SCHEMAS = pathlib.Path(ROOT) / "docs" / "schemas"
 
@@ -115,6 +115,17 @@ def test_report_six_values(capsys):
         "PurelyInfiniteSimple",
         "PurelyInfiniteNonSimpleIndecomposable",
     ]
+
+
+def test_report_runs_no_saturation_fixpoint(capsys, monkeypatch):
+    def refuse(mask, regular):
+        raise AssertionError("a report ran the saturation fixpoint")
+
+    monkeypatch.setattr("leavittpath._kernel.saturation_fixpoint", refuse)
+    for name in FIXTURE_NAMES:
+        code, out, _ = run_cli(capsys, "report", fixture_path(name))
+        golden = ROOT / "tests" / "golden" / f"report_{name}.json"
+        assert (code, out) == (0, golden.read_text(encoding="utf-8")), name
 
 
 def test_report_pretty_is_same_document(capsys):

@@ -27,6 +27,7 @@ from leavittpath import (
     p_K,
     p_ppi,
     parse_graph,
+    properly_infinite,
     reachable,
     saturate_once,
     to_text,
@@ -105,6 +106,41 @@ def test_properly_infinite_oracle_by_hand():
         "v2",
         "v3",
     )
+    cases = [
+        # not a local recursion over the DAG: t is not properly infinite,
+        # yet v is, since v saturates into T({w}) = {w, t}
+        (
+            "vertices t v w\nedge a v w\nedge b v t\nedge c w t\n"
+            "edge l w w x2\n",
+            ("v", "w"),
+        ),
+        # ... but without w -> t, the sink t lies outside T({w}) = {w}
+        ("vertices t v w\nedge a v w\nedge b v t\nedge l w w x2\n", ("w",)),
+        # the tree of v ends in an ω-emitter u outside T({w}) = {w}
+        (
+            "vertices u v w\nedge a v w\nedge b v u\nbundle m u w omega\n"
+            "edge l w w x2\n",
+            ("w",),
+        ),
+        # ... and with u regular instead, u and v saturate in
+        (
+            "vertices u v w\nedge a v w\nedge b v u\nedge m u w\n"
+            "edge l w w x2\n",
+            ("u", "v", "w"),
+        ),
+        # the tree of v ends in a One-cycle c outside T({w}) = {w}
+        (
+            "vertices c v w\nedge a v w\nedge b v c\nedge k c c\n"
+            "edge l w w x2\n",
+            ("w",),
+        ),
+        # an ω-loop is TwoPlus and pulls its regular predecessor in
+        ("vertices u v\nedge a u v\nbundle m v v omega\n", ("u", "v")),
+    ]
+    for text, expected in cases:
+        g = parse_graph(text)
+        assert properly_infinite_subsets_oracle(g) == expected, text
+        assert properly_infinite(g) == expected, text
 
 
 def test_sccs_oracle():
@@ -183,6 +219,9 @@ def test_csp_and_cycle_sets_match_oracles_with_omega():
         assert b_infinity(g) == b_infinity_oracle(g), to_text(g)
         assert breaking_capable(g) == breaking_capable_oracle(g), to_text(g)
         assert p_K(g) == p_K_oracle(g), to_text(g)
+        assert properly_infinite(g) == properly_infinite_subsets_oracle(g), (
+            to_text(g)
+        )
         assert p_ppi(g) == p_ppi_oracle(g), to_text(g)
         assert p_ex(g) == p_ex_oracle(g), to_text(g)
 
