@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .closures import _hereditary_saturated, breaking_capable, breaking_vertices
+from .closures import breaking_capable, breaking_vertices, hs_closure
 from .errors import InvariantViolation
 from .graph import INFINITE_EMITTER, OMEGA, SINK, Graph, condense, per_graph, to_text
 
@@ -104,14 +104,18 @@ def properly_infinite(g: Graph) -> tuple[str, ...]:
     emitter and cycle vertex of T(v) lies in H (docs/design-notes.md,
     "Hereditary saturated closures").  Every TwoPlus vertex of T(v) is in
     H, so only the One-class cycle vertices are tested.  T(v) is constant
-    on an SCC, so the test runs once per SCC.
+    on an SCC, so the test runs once per SCC, and H of an SCC is the union
+    of the trees of the TwoPlus SCCs it reaches: one pass over the DAG.
     """
-    two = _class_mask(g, CSP_TWO_PLUS)
+    cond = condense(g)
+    held = cond.reach_union([
+        g.tree_mask(m) if cls == CSP_TWO_PLUS else 0
+        for m, cls in zip(cond.masks, _scc_csp_classes(g))
+    ])
     bad = g.kind_mask(SINK) | g.kind_mask(INFINITE_EMITTER) | _class_mask(g, CSP_ONE)
     found = 0
-    for m in condense(g).masks:
-        tree = g.tree_mask(m)
-        if not tree & bad & ~g.tree_mask(tree & two):
+    for m, h in zip(cond.masks, held):
+        if not g.tree_mask(m) & bad & ~h:
             found |= m
     return g.set_of(found)
 
@@ -203,9 +207,11 @@ def classify(g: Graph) -> Classification:
 
     if p_ec & ~p_pi:
         fail("P_ec is not contained in P_pi")
+    # a set is hereditary and saturated exactly when it is its own closure
     for name, mask in (("P_ppi", p_ppi), ("P_(K)", p_K)):
-        if not _hereditary_saturated(g, mask):
-            fail(f"{name} = {list(g.set_of(mask))} is not hereditary+saturated")
+        members = g.set_of(mask)
+        if hs_closure(g, members).members != members:
+            fail(f"{name} = {list(members)} is not hereditary+saturated")
     if p_pec | p_prime != p_ppi or p_pec & p_prime:
         fail("P_pec and P' do not partition P_ppi")
     if p_ec_prime | p_pec != p_ec or p_ec_prime & p_pec:

@@ -39,12 +39,6 @@ def is_saturated(g: Graph, members) -> bool:
     return not _kernel.saturation_step(g.mask_of(members), _regular_targets(g))
 
 
-def _hereditary_saturated(g: Graph, mask: int) -> bool:
-    return g.tree_mask(mask) == mask and not _kernel.saturation_step(
-        mask, _regular_targets(g)
-    )
-
-
 @dataclass(frozen=True)
 class HereditarySet:
     """A vertex set with its hereditary/saturated flags certified on build."""

@@ -312,7 +312,7 @@ class Graph:
         what the SCC reaches in the component DAG.
         """
         cond = condense(self)
-        reach = _kernel.reach_masks(cond.masks, cond.dag)
+        reach = cond.reach_union(cond.masks)
         return list(map(reach.__getitem__, cond.scc_of))
 
     def tree_mask(self, mask: int) -> int:
@@ -362,6 +362,11 @@ class Condensation:
     dag: tuple[tuple[int, ...], ...]
     trivial: tuple[bool, ...]
     terminal: tuple[bool, ...]
+
+    def reach_union(self, values) -> list[int]:
+        """Per component, the OR of ``values`` over every component it
+        reaches, itself included; linear in the DAG edges."""
+        return _kernel.reach_masks(values, self.dag)
 
     def non_trivial_terminal(self) -> tuple[int, ...]:
         return tuple(

@@ -6,7 +6,7 @@ import jsonschema
 import pytest
 
 from leavittpath import InvariantViolation
-from leavittpath import cli
+from leavittpath import _kernel, cli
 from leavittpath.random_graphs import enumerate_graphs
 
 from conftest import FIXTURE_NAMES, ROOT, fixture_path
@@ -117,15 +117,24 @@ def test_report_six_values(capsys):
     ]
 
 
-def test_report_runs_no_saturation_fixpoint(capsys, monkeypatch):
-    def refuse(mask, regular):
-        raise AssertionError("a report ran the saturation fixpoint")
+def test_report_saturation_passes_grow_nothing(capsys, monkeypatch):
+    # P_pi is read off trees, so a report closes only sets that are already
+    # hereditary and saturated: classify's certification of P_ppi and P_(K)
+    fixpoint = _kernel.saturation_fixpoint
+    rounds = []
 
-    monkeypatch.setattr("leavittpath._kernel.saturation_fixpoint", refuse)
+    def record(mask, regular):
+        result = fixpoint(mask, regular)
+        rounds.append(result[1])
+        return result
+
+    monkeypatch.setattr(_kernel, "saturation_fixpoint", record)
     for name in FIXTURE_NAMES:
+        rounds.clear()
         code, out, _ = run_cli(capsys, "report", fixture_path(name))
         golden = ROOT / "tests" / "golden" / f"report_{name}.json"
         assert (code, out) == (0, golden.read_text(encoding="utf-8")), name
+        assert rounds == [0, 0], name
 
 
 def test_report_pretty_is_same_document(capsys):
