@@ -4,6 +4,12 @@ Core objects: finite directed graphs whose edges come in multiplicity
 bundles (possibly countably infinite), the hereditary/saturated closure
 machinery, vertex classifiers, largest-ideal reports, the hedgehog
 construction, and a small exact-arithmetic term engine.
+
+The term engine (``terms``) and the hedgehog construction (``hedgehog``)
+are loaded on first use of one of their names, so that a fresh ``lpa``
+imports only what its subcommand runs.  ``classify`` stays eager: loading
+the submodule ``classify`` lazily would rebind the package attribute
+``classify`` from the function to the module.
 """
 
 from .classify import (
@@ -55,7 +61,6 @@ from .graph import (
     to_dot,
     to_text,
 )
-from .hedgehog import HedgehogGraph, build_hedgehog, hedgehog_is_finite
 from .ideals import (
     CycleClass,
     GradedIdealDescriptor,
@@ -66,14 +71,42 @@ from .ideals import (
     largest_ideals_report,
     pi_decomposition,
 )
-from .terms import (
-    AlgebraElement,
-    Monomial,
-    format_element,
-    graded_components,
-    parse_element,
-    v_H_element,
-)
+
+# the two modules loaded on first use, and their public names
+_LAZY = {
+    **dict.fromkeys(
+        ("hedgehog", "HedgehogGraph", "build_hedgehog", "hedgehog_is_finite"),
+        "hedgehog",
+    ),
+    **dict.fromkeys(
+        (
+            "terms",
+            "AlgebraElement",
+            "Monomial",
+            "format_element",
+            "graded_components",
+            "parse_element",
+            "v_H_element",
+        ),
+        "terms",
+    ),
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # importing the submodule binds it here under its own name
+    __import__(f"{__name__}.{module}")
+    if name != module:
+        globals()[name] = getattr(globals()[module], name)
+    return globals()[name]
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"
 

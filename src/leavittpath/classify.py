@@ -15,7 +15,7 @@ terminal SCCs of class One and TwoPlus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .closures import breaking_capable, breaking_vertices, hs_closure
 from .errors import InvariantViolation
@@ -151,25 +151,21 @@ def p_ex(g: Graph) -> tuple[str, ...]:
     return classify(g).p_ex
 
 
-@dataclass(frozen=True)
-class Classification:
-    """All classifier outputs for one graph."""
+class Classification(
+    namedtuple(
+        "Classification",
+        "p_l p_c p_ec p_binf p_pi p_ppi p_ec_prime p_pec p_prime p_K p_ex"
+        " condition_K condition_L exchange_breaking",
+    )
+):
+    """All classifier outputs for one graph.
 
-    p_l: tuple[str, ...]
-    p_c: tuple[str, ...]
-    p_ec: tuple[str, ...]
-    p_binf: tuple[str, ...]
-    p_pi: tuple[str, ...]
-    p_ppi: tuple[str, ...]
-    p_ec_prime: tuple[str, ...]
-    p_pec: tuple[str, ...]
-    p_prime: tuple[str, ...]
-    p_K: tuple[str, ...]
-    p_ex: tuple[str, ...]
-    condition_K: bool
-    condition_L: bool
-    # B_{P_(K)}: (vertex, number of its edges leaving P_(K)) per member
-    exchange_breaking: tuple[tuple[str, int], ...]
+    Each ``p_*`` field is a sorted tuple of vertex ids; ``condition_K`` and
+    ``condition_L`` are booleans; ``exchange_breaking`` is B_{P_(K)}, a
+    (vertex, number of its edges leaving P_(K)) pair per member.
+    """
+
+    __slots__ = ()
 
 
 @per_graph

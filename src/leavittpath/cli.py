@@ -24,9 +24,7 @@ from .errors import (
     InvariantViolation,
 )
 from .graph import Graph, graph_digest, mult_to_json, parse_graph, to_dot
-from .hedgehog import build_hedgehog
 from .ideals import largest_ideals_report
-from .terms import element_payload, format_element, graded_components, parse_element
 
 SCHEMA_VERSION = "1"
 
@@ -128,6 +126,8 @@ def cmd_closure(args) -> int:
 
 
 def cmd_hedgehog(args) -> int:
+    from .hedgehog import build_hedgehog
+
     g = _read_graph(args.file)
     hh = build_hedgehog(g, _split_ids(args.H), _split_ids(args.S), args.depth)
     if args.dot:
@@ -188,6 +188,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .terms import element_payload, format_element, graded_components, parse_element
+
     g = _read_graph(args.file)
     element = parse_element(g, args.expr)
     if args.json:

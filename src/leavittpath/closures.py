@@ -12,7 +12,7 @@ restriction graphs, and the density criterion.  Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import _kernel
 from .errors import GraphValidationError, InvariantViolation
@@ -39,14 +39,38 @@ def is_saturated(g: Graph, members) -> bool:
     return not _kernel.saturation_step(g.mask_of(members), _regular_targets(g))
 
 
-@dataclass(frozen=True)
-class HereditarySet:
-    """A vertex set with its hereditary/saturated flags certified on build."""
+class _MemberSet:
+    """An immutable vertex set with facts about it, iterated as its members.
 
-    members: tuple[str, ...]
-    is_hereditary: bool
-    is_saturated: bool
-    rounds: int | None = field(default=None, compare=False)
+    A slots class, not a tuple: iterating yields the members, which a tuple
+    subclass could only do by breaking its ``len`` and its pickling.
+    Equality and the hash read the fields in ``_compared``; the repr shows
+    them all.
+    """
+
+    __slots__ = ()
+    _compared = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field '{name}'")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._compared)
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, f) for f in self._compared))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
 
     def __contains__(self, v) -> bool:
         return v in self.members
@@ -55,8 +79,25 @@ class HereditarySet:
         return iter(self.members)
 
 
-@dataclass(frozen=True)
-class BreakingSet:
+class HereditarySet(_MemberSet):
+    """A vertex set with its hereditary/saturated flags certified on build.
+
+    ``rounds`` counts the saturation passes that built it, when known; it
+    is left out of equality.
+    """
+
+    __slots__ = ("members", "is_hereditary", "is_saturated", "rounds")
+    _compared = __slots__[:3]
+
+    def __init__(self, members, is_hereditary, is_saturated, rounds=None):
+        init = object.__setattr__
+        init(self, "members", members)
+        init(self, "is_hereditary", is_hereditary)
+        init(self, "is_saturated", is_saturated)
+        init(self, "rounds", rounds)
+
+
+class BreakingSet(_MemberSet):
     """Breaking vertices of a hereditary set H.
 
     A breaking vertex is an infinite emitter outside H with only finitely
@@ -65,14 +106,13 @@ class BreakingSet:
     (finitely many, possibly zero) edges stay outside H.
     """
 
-    members: tuple[str, ...]
-    outside_counts: dict
+    __slots__ = ("members", "outside_counts")
+    _compared = __slots__
 
-    def __contains__(self, v) -> bool:
-        return v in self.members
-
-    def __iter__(self):
-        return iter(self.members)
+    def __init__(self, members, outside_counts):
+        init = object.__setattr__
+        init(self, "members", members)
+        init(self, "outside_counts", outside_counts)
 
 
 def saturate_once(g: Graph, X) -> tuple[str, ...]:
@@ -155,16 +195,14 @@ def restriction_graph(g: Graph, H) -> Graph:
     )
 
 
-@dataclass(frozen=True)
-class DensityResult:
+class DensityResult(namedtuple("DensityResult", "dense witnesses")):
     """Verdict of the density criterion plus per-vertex witnesses.
 
     ``witnesses[v]`` is a (possibly empty) tuple of bundle ids tracing a path
     from v into the target set, or None when v cannot reach it.
     """
 
-    dense: bool
-    witnesses: dict
+    __slots__ = ()
 
 
 def density_check(g: Graph, X) -> DensityResult:

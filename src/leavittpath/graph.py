@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, chain, compress
 from operator import attrgetter
 
@@ -61,14 +61,10 @@ def mult_to_json(mult) -> object:
     return "omega" if mult is OMEGA else mult
 
 
-@dataclass(frozen=True)
-class EdgeBundle:
+class EdgeBundle(namedtuple("EdgeBundle", "id source target mult", defaults=(1,))):
     """A bundle of parallel edges source -> target with a multiplicity."""
 
-    id: str
-    source: str
-    target: str
-    mult: object = 1
+    __slots__ = ()
 
     @property
     def is_omega(self) -> bool:
@@ -346,8 +342,9 @@ class Graph:
         return f"Graph({len(self._vertices)} vertices, {len(self._bundles)} bundles)"
 
 
-@dataclass(frozen=True)
-class Condensation:
+class Condensation(
+    namedtuple("Condensation", "scc_of sccs masks dag trivial terminal")
+):
     """SCC partition of a graph plus its component DAG.
 
     Component ids are assigned by smallest member vertex (sorted order),
@@ -356,12 +353,7 @@ class Condensation:
     component c.
     """
 
-    scc_of: tuple[int, ...]
-    sccs: tuple[tuple[str, ...], ...]
-    masks: tuple[int, ...]
-    dag: tuple[tuple[int, ...], ...]
-    trivial: tuple[bool, ...]
-    terminal: tuple[bool, ...]
+    __slots__ = ()
 
     def reach_union(self, values) -> list[int]:
         """Per component, the OR of ``values`` over every component it

@@ -20,7 +20,7 @@ F-paths and any admissible ω position makes an F-set infinite outright.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .closures import breaking_vertices
 from .errors import GraphValidationError
@@ -32,16 +32,14 @@ from .graph import OMEGA, EdgeBundle, Graph, condense
 MAX_PATH_EDGES = 1_000_000
 
 
-@dataclass(frozen=True)
-class HedgehogGraph:
+class HedgehogGraph(
+    namedtuple(
+        "HedgehogGraph", "base H S finite truncated_at path_vertex_table"
+    )
+):
     """Result of the hedgehog construction plus finiteness metadata."""
 
-    base: Graph
-    H: tuple[str, ...]
-    S: tuple[str, ...]
-    finite: bool
-    truncated_at: int | None
-    path_vertex_table: dict
+    __slots__ = ()
 
 
 def path_vertex_name(instances) -> str:

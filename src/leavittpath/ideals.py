@@ -11,7 +11,7 @@ purely infinite part into simple and non-simple-indecomposable classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .classify import classify, p_ppi
 from .closures import breaking_vertices, density_check, hs_closure
@@ -19,11 +19,8 @@ from .errors import GraphValidationError, InvariantViolation
 from .graph import Graph, condense, to_text
 
 
-@dataclass(frozen=True)
-class GradedIdealDescriptor:
-    graph: Graph
-    H: tuple[str, ...]
-    S: tuple[str, ...]
+class GradedIdealDescriptor(namedtuple("GradedIdealDescriptor", "graph H S")):
+    __slots__ = ()
 
 
 def ideal_descriptor(g: Graph, X, S=()) -> GradedIdealDescriptor:
@@ -64,13 +61,12 @@ PEC_LABEL = "PurelyInfiniteSimple"
 PPRIME_LABEL = "PurelyInfiniteNonSimpleIndecomposable"
 
 
-@dataclass(frozen=True)
-class CycleClass:
-    kind: str  # "Pec" | "Pprime"
-    member_sccs: tuple[int, ...]
-    class_vertices: tuple[str, ...]
-    tree: tuple[str, ...]
-    label: str
+class CycleClass(
+    namedtuple("CycleClass", "kind member_sccs class_vertices tree label")
+):
+    """One summand of the purely infinite part; ``kind`` is "Pec" or "Pprime"."""
+
+    __slots__ = ()
 
 
 def pi_decomposition(g: Graph) -> tuple[CycleClass, ...]:
@@ -133,19 +129,15 @@ def _check_tree_disjointness(g: Graph, classes) -> None:
         seen.update(c.tree)
 
 
-@dataclass(frozen=True)
-class LargestIdealsReport:
-    semisimple_gens: tuple[str, ...]
-    loc_noetherian_gens: tuple[str, ...]
-    loc_noetherian_no_min_idem_gens: tuple[str, ...]
-    purely_infinite_gens: tuple[str, ...]
-    exchange_gens: tuple[str, ...]
-    dense_gens: tuple[str, ...]
-    dense: bool
-    dense_witnesses: dict
-    pi_classes: tuple[CycleClass, ...]
-    exchange_breaking: tuple[tuple[str, int], ...]
-    notes: tuple[str, ...]
+class LargestIdealsReport(
+    namedtuple(
+        "LargestIdealsReport",
+        "semisimple_gens loc_noetherian_gens loc_noetherian_no_min_idem_gens"
+        " purely_infinite_gens exchange_gens dense_gens dense dense_witnesses"
+        " pi_classes exchange_breaking notes",
+    )
+):
+    __slots__ = ()
 
 
 _FINITE_FRAGMENT_NOTE = (

@@ -24,7 +24,7 @@ are exact rationals.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .closures import breaking_vertices
@@ -44,13 +44,10 @@ def _inst_target(g: Graph, inst: str) -> str:
     return _inst_bundle(g, inst).target
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(namedtuple("Monomial", "real ghost anchor")):
     """α β* with r(α) = r(β) = anchor; both paths stored unstarred."""
 
-    real: tuple[str, ...]
-    ghost: tuple[str, ...]
-    anchor: str
+    __slots__ = ()
 
     @property
     def degree(self) -> int:

@@ -8,7 +8,6 @@ at about 0.52 ms each, so about 6 h) runs the same oracle checks through
 ``lpa selftest --exhaustive-n4``.
 """
 
-import dataclasses
 import itertools
 import json
 import os
@@ -163,7 +162,7 @@ def test_maximality_probe_rejects_a_smaller_p_ppi(monkeypatch):
     g = parse_graph("vertices w x\nedge a w x\nedge l w w x2\nedge k x x x2\n")
     assert classify(g).p_ppi == ("w", "x")
     check_maximality(g)
-    smaller = dataclasses.replace(classify(g), p_ppi=("x",))
+    smaller = classify(g)._replace(p_ppi=("x",))
     monkeypatch.setattr("leavittpath.selftest.classify", lambda g: smaller)
     with pytest.raises(_Mismatch, match="closure of P_ppi plus 'w'"):
         check_maximality(g)
@@ -293,7 +292,9 @@ def test_criterion_7_term_engine(capsys):
 
 
 def test_criterion_8_determinism(capsys):
-    with criterion(capsys, 8, "byte-identical reports matching goldens"):
+    with criterion(
+        capsys, 8, "byte-identical reports matching goldens, fresh processes too"
+    ):
         golden_dir = os.path.join(os.path.dirname(__file__), "golden")
         for name in FIXTURE_NAMES:
             with open(
@@ -308,10 +309,11 @@ def test_criterion_8_determinism(capsys):
             assert outputs == {golden}
             json.loads(golden)  # goldens stay well-formed
 
-        # a fresh process produces the same bytes: always via
-        # ``python -m leavittpath``, which runs the package under test
-        # whether or not it is installed, and also via the ``lpa`` console
-        # script wherever one is installed
+        # a fresh process produces the same bytes as ``cli.run`` for every
+        # analysis subcommand (each loads its own part of the package):
+        # always via ``python -m leavittpath``, which runs the package under
+        # test whether or not it is installed, and also via the ``lpa``
+        # console script wherever one is installed
         package_root = os.path.dirname(os.path.dirname(leavittpath.__file__))
         pythonpath = (package_root, os.environ.get("PYTHONPATH"))
         env = {
@@ -322,16 +324,23 @@ def test_criterion_8_determinism(capsys):
         lpa_script = shutil.which("lpa")
         if lpa_script is not None:
             commands.append([lpa_script])
-        with open(
-            os.path.join(golden_dir, "report_six.json"), encoding="utf-8"
-        ) as fh:
-            golden_six = fh.read()
+        six = fixture_path("six")
+        subcommands = [
+            ["validate", six],
+            ["classify", six],
+            ["closure", six, "--seed", "v3,w1"],
+            ["report", six],
+            ["eval", six, "--expr", "f1 f1* + 2 f4 e7*", "--json"],
+            ["hedgehog", six, "--H", "v3", "--depth", "4"],
+        ]
+        expected = []
+        for argv in subcommands:
+            assert cli.run(argv) == 0, argv
+            expected.append(capsys.readouterr().out)
         for command in commands:
-            proc = subprocess.run(
-                command + ["report", fixture_path("six")],
-                capture_output=True,
-                text=True,
-                env=env,
-            )
-            assert proc.returncode == 0, f"{command}: {proc.stderr}"
-            assert proc.stdout == golden_six, command
+            for argv, want in zip(subcommands, expected):
+                proc = subprocess.run(
+                    command + argv, capture_output=True, text=True, env=env
+                )
+                assert proc.returncode == 0, f"{command + argv}: {proc.stderr}"
+                assert proc.stdout == want, command + argv

@@ -1,0 +1,195 @@
+"""The package surface: what a fresh import loads, the public names, the
+value classes' semantics and the README's library example."""
+
+import json
+import os
+import pickle
+import re
+import subprocess
+import sys
+import types
+
+import pytest
+
+import leavittpath
+from leavittpath import (
+    BreakingSet,
+    HereditarySet,
+    Monomial,
+    breaking_vertices,
+    build_hedgehog,
+    classify,
+    condense,
+    density_check,
+    hs_closure,
+    ideal_descriptor,
+    largest_ideals_report,
+    pi_decomposition,
+)
+from leavittpath.cli import report_payload
+
+from conftest import FIXTURE_NAMES, ROOT, fixture_graph
+
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(leavittpath.__file__))
+
+# modules that only `eval` and `hedgehog` need, and what pulls in slow
+# standard-library imports at start-up
+NOT_LOADED_BY_CLI = (
+    "dataclasses",
+    "inspect",
+    "fractions",
+    "leavittpath.terms",
+    "leavittpath.hedgehog",
+)
+
+
+def fresh_python(code: str) -> str:
+    """stdout of ``code`` run by ``python -S`` with the package on the path."""
+    prelude = f"import sys; sys.path.insert(0, {PACKAGE_ROOT!r}); "
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", prelude + code],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return proc.stdout
+
+
+def test_cli_import_loads_only_what_every_subcommand_needs():
+    loaded = fresh_python("import leavittpath.cli; print(*sys.modules)").split()
+    assert "leavittpath.cli" in loaded
+    assert set(NOT_LOADED_BY_CLI).isdisjoint(loaded)
+
+
+PUBLIC_NAMES_PROBE = """
+import json, types
+import leavittpath as p
+print(json.dumps({
+    "not_in_dir": sorted(set(p.__all__) - set(dir(p))),
+    "unresolved": [n for n in p.__all__ if not hasattr(p, n)],
+    "submodules": p.terms is sys.modules["leavittpath.terms"]
+    and p.hedgehog is sys.modules["leavittpath.hedgehog"],
+    "unknown": hasattr(p, "no_such_name"),
+    "classify": isinstance(p.classify, types.FunctionType),
+}))
+"""
+
+
+def test_public_names_resolve_in_a_fresh_process():
+    assert json.loads(fresh_python(PUBLIC_NAMES_PROBE)) == {
+        "not_in_dir": [],
+        "unresolved": [],
+        "submodules": True,
+        "unknown": False,
+        "classify": True,
+    }
+    # loading a submodule by name must not rebind the package's names
+    out = fresh_python(
+        "import types, leavittpath.classify, leavittpath.terms, leavittpath; "
+        "print(isinstance(leavittpath.classify, types.FunctionType), "
+        "leavittpath.parse_element is sys.modules['leavittpath.terms'].parse_element)"
+    )
+    assert out.split() == ["True", "True"]
+
+
+def test_src_does_not_use_dataclasses():
+    hits = [
+        f"{path.relative_to(ROOT)}:{n}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "dataclasses" in line
+    ]
+    assert hits == []
+
+
+# -- value classes -------------------------------------------------------------
+
+
+def _values():
+    """(name, instance, a field) for one instance of each public value class."""
+    g = fixture_graph("omega-h")  # u ⇒ω h, u → x, h has two loops
+    report = largest_ideals_report(g)
+    return [
+        ("EdgeBundle", g.bundles[0], "mult"),
+        ("Condensation", condense(g), "sccs"),
+        ("DensityResult", density_check(g, ("h", "x")), "dense"),
+        ("Classification", classify(g), "p_ppi"),
+        ("GradedIdealDescriptor", ideal_descriptor(g, ("h",), ("u",)), "H"),
+        ("CycleClass", pi_decomposition(g)[0], "tree"),
+        ("LargestIdealsReport", report, "pi_classes"),
+        ("Monomial", Monomial(("h1",), ("h2",), "h"), "anchor"),
+        ("HedgehogGraph", build_hedgehog(g, ("h",), ("u",), 4), "finite"),
+        ("HereditarySet", hs_closure(g, ("h",)), "members"),
+        ("BreakingSet", breaking_vertices(g, ("h",)), "outside_counts"),
+    ]
+
+
+VALUES = _values()
+
+
+@pytest.mark.parametrize("name,value,field", VALUES, ids=[v[0] for v in VALUES])
+def test_value_classes_pickle_compare_and_freeze(name, value, field):
+    assert type(value).__name__ == name
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is type(value)
+    assert copy == value
+    assert repr(copy) == repr(value)
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+def test_member_sets_iterate_members_and_ignore_rounds():
+    a = HereditarySet(("h", "u"), True, True, rounds=0)
+    b = HereditarySet(("h", "u"), True, True, rounds=3)
+    assert a == b and hash(a) == hash(b)
+    assert a != HereditarySet(("h", "u"), True, False, rounds=0)
+    assert list(a) == ["h", "u"] and "u" in a and "x" not in a
+    assert pickle.loads(pickle.dumps(b)).rounds == 3
+    assert repr(b) == (
+        "HereditarySet(members=('h', 'u'), is_hereditary=True, "
+        "is_saturated=True, rounds=3)"
+    )
+    s = BreakingSet(("u",), {"u": 1})
+    assert list(s) == ["u"] and s == BreakingSet(("u",), {"u": 1})
+    assert s != BreakingSet(("u",), {"u": 2})
+    with pytest.raises(TypeError):
+        hash(s)  # it holds a dict
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_analysed_graph_pickles_with_its_memo(name):
+    g = fixture_graph(name)
+    before = json.dumps(report_payload(g), sort_keys=True)
+    assert g._memo
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g and copy._memo == g._memo
+    assert json.dumps(report_payload(copy), sort_keys=True) == before
+    assert copy._memo.keys() == g._memo.keys()  # answered from the memo
+
+
+# -- README ------------------------------------------------------------------
+
+
+def test_readme_library_example(monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    monkeypatch.chdir(ROOT)
+    ns = {}
+    exec(block, ns)
+    printed = capsys.readouterr().out.splitlines()
+    # every `name.attribute` the example mentions, comments included
+    for name, attr in re.findall(r"\b(\w+)\.(\w+)", block):
+        if name in ns and not isinstance(ns[name], types.ModuleType):
+            assert hasattr(ns[name], attr), f"{name}.{attr}"
+    # a comment on a print line starts with what it prints; any other
+    # comment holding "==" is a claim
+    expected = []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        if code.startswith("print("):
+            expected.append(comment.split(":")[0].strip())
+        elif "==" in comment:
+            assert eval(comment, ns), comment
+    assert printed == expected
