@@ -5,14 +5,17 @@ Every JSON-producing subcommand wraps its payload in the same envelope:
 digest is the sha256 of the canonical graph serialization.  Output is
 deterministic: keys sorted, arrays pre-sorted by the library.
 
-Exit codes: 0 success, 2 usage/parse errors, 3 internal invariant
-violations (those also dump a reproducer to stderr).
+Exit codes: 0 success, 2 usage/parse errors or an unreadable graph file,
+3 internal invariant violations (those also dump a reproducer to stderr).
+A reader that closes stdout early (``lpa report g.lpa | head -c 10``)
+ends the command quietly with exit 0: what it read is all it wanted.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .classify import classify
@@ -29,9 +32,16 @@ from .ideals import largest_ideals_report
 SCHEMA_VERSION = "1"
 
 
+class _UnreadableFile(Exception):
+    """The graph file could not be read; the message is the OSError's."""
+
+
 def _read_graph(path: str) -> Graph:
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise _UnreadableFile(exc) from None
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -235,32 +245,18 @@ def cmd_selftest(args) -> int:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lpa",
-        description="Path-algebra analysis of directed graphs with ω-bundles",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(func=fn)
-        return p
-
-    p = add("validate", cmd_validate, help="parse a graph file and echo its contents")
+def _file_args(p) -> None:
     p.add_argument("file")
     p.add_argument("--pretty", action="store_true")
 
-    p = add("classify", cmd_classify, help="compute all vertex classifications")
-    p.add_argument("file")
-    p.add_argument("--pretty", action="store_true")
 
-    p = add("closure", cmd_closure, help="hereditary saturated closure of a seed set")
+def _closure_args(p) -> None:
     p.add_argument("file")
     p.add_argument("--seed", default="", help="comma-separated vertex ids")
     p.add_argument("--pretty", action="store_true")
 
-    p = add("hedgehog", cmd_hedgehog, help="build the hedgehog graph of (H, S)")
+
+def _hedgehog_args(p) -> None:
     p.add_argument("file")
     p.add_argument("--H", default="", help="comma-separated hereditary set")
     p.add_argument("--S", default="", help="comma-separated breaking vertices")
@@ -268,23 +264,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
     p.add_argument("--pretty", action="store_true")
 
-    p = add("report", cmd_report, help="largest-ideal generating sets and classes")
+
+def _report_args(p) -> None:
     p.add_argument("file")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--json", action="store_true", help="compact JSON (default)")
     group.add_argument("--pretty", action="store_true", help="indented JSON")
 
-    p = add("eval", cmd_eval, help="evaluate an algebra expression")
+
+def _eval_args(p) -> None:
     p.add_argument("file")
     p.add_argument("--expr", required=True)
     p.add_argument("--graded", action="store_true", help="split output by degree")
     p.add_argument("--json", action="store_true")
     p.add_argument("--pretty", action="store_true")
 
-    p = add("dot", cmd_dot, help="export the graph in DOT format")
+
+def _dot_args(p) -> None:
     p.add_argument("file")
 
-    p = add("selftest", cmd_selftest, help="run the randomized property suites")
+
+def _selftest_args(p) -> None:
     p.add_argument("--cases", type=int, default=300)
     p.add_argument("--max-vertices", type=int, default=8)
     p.add_argument("--seed", type=int, default=7)
@@ -294,12 +294,57 @@ def build_parser() -> argparse.ArgumentParser:
         help="also sweep every 4-vertex multiplicity-2 graph (slow)",
     )
 
+
+def _commands() -> dict:
+    """name -> (handler, help line, adds the subcommand's arguments).  The
+    handlers are looked up on each call, so a rebound one is dispatched to."""
+    return {
+        "validate": (
+            cmd_validate, "parse a graph file and echo its contents", _file_args
+        ),
+        "classify": (cmd_classify, "compute all vertex classifications", _file_args),
+        "closure": (
+            cmd_closure, "hereditary saturated closure of a seed set", _closure_args
+        ),
+        "hedgehog": (
+            cmd_hedgehog, "build the hedgehog graph of (H, S)", _hedgehog_args
+        ),
+        "report": (
+            cmd_report, "largest-ideal generating sets and classes", _report_args
+        ),
+        "eval": (cmd_eval, "evaluate an algebra expression", _eval_args),
+        "dot": (cmd_dot, "export the graph in DOT format", _dot_args),
+        "selftest": (
+            cmd_selftest, "run the randomized property suites", _selftest_args
+        ),
+    }
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `lpa` parser.  Every subcommand is listed, but only ``command``'s
+    arguments are added (all of them when it is None): one subcommand runs,
+    and the others' help and usage never print."""
+    parser = argparse.ArgumentParser(
+        prog="lpa",
+        description="Path-algebra analysis of directed graphs with ω-bundles",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (fn, help_line, add_arguments) in _commands().items():
+        p = sub.add_parser(name, help=help_line)
+        p.set_defaults(func=fn)
+        if command is None or command == name:
+            add_arguments(p)
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # the top level takes no option with a value, so the first token naming
+    # a subcommand is the one argparse dispatches to
+    names = _commands()
+    command = next((arg for arg in argv if arg in names), "")
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except InvariantViolation as exc:
@@ -309,13 +354,20 @@ def run(argv=None) -> int:
             print(exc.graph_text, end="", file=sys.stderr)
             print("--- end reproducer ---", file=sys.stderr)
         return 3
-    except (GraphSyntaxError, GraphValidationError, ExpressionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (
+        GraphSyntaxError, GraphValidationError, ExpressionError, _UnreadableFile
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the flush
+        # at interpreter exit cannot fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)

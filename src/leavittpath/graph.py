@@ -331,6 +331,8 @@ class Graph:
     # -- equality / hashing -------------------------------------------------
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Graph):
             return NotImplemented
         return self._vertices == other._vertices and self._bundles == other._bundles

@@ -18,7 +18,7 @@ instance leaving v (bundle id lexicographic, index numeric).  Then
 
 which terminates (the first term is shorter, the siblings end in a
 non-special pair) and yields the canonical spanning basis.  Coefficients
-are exact rationals.
+are exact: ints, and Fractions only where a denominator is left.
 """
 
 from __future__ import annotations
@@ -32,16 +32,19 @@ from .errors import ExpressionError, GraphValidationError
 from .graph import OMEGA, Graph, instance_id, parse_instance, per_graph
 
 
-def _inst_bundle(g: Graph, inst: str):
-    return parse_instance(g, inst)[0]
+def _exact(k):
+    """k as a coefficient: an int when integral, else a Fraction.  Accepts
+    whatever ``Fraction()`` accepts."""
+    if type(k) is not int:
+        k = Fraction(k)
+        if k.denominator == 1:
+            return k.numerator
+    return k
 
 
-def _inst_source(g: Graph, inst: str) -> str:
-    return _inst_bundle(g, inst).source
-
-
-def _inst_target(g: Graph, inst: str) -> str:
-    return _inst_bundle(g, inst).target
+def _settled(acc: dict) -> dict:
+    """acc without its zero terms, integral Fractions demoted to int."""
+    return {m: c if type(c) is int else _exact(c) for m, c in acc.items() if c}
 
 
 class Monomial(namedtuple("Monomial", "real ghost anchor")):
@@ -67,23 +70,50 @@ class Monomial(namedtuple("Monomial", "real ghost anchor")):
         return " ".join(parts)
 
 
+class _InstanceTable(dict):
+    """What the engine asks of a graph, each key filled on first use.
+
+    An edge-instance id maps to (source, target, special), where special
+    says the instance is γ(source) at a Regular source.  A vertex id maps
+    to the (instance, target) pairs leaving it, in canonical order.  Vertex
+    and bundle ids never coincide, and an indexed instance id is no vertex
+    id, so one dict holds both.  Filling lazily matters: a vertex the
+    engine never rewrites at may carry a bundle too big to expand.
+    """
+
+    __slots__ = ("graph",)
+
+    def __init__(self, g: Graph):
+        super().__init__()
+        self.graph = g
+
+    def __missing__(self, key: str):
+        g = self.graph
+        if g.has_vertex(key):
+            value = tuple(
+                (inst, b.target) for b in g.out_bundles(key) for inst in b.instances
+            )
+        else:
+            b, _ = parse_instance(g, key)
+            src = b.source
+            value = (
+                src,
+                b.target,
+                g.is_regular(src) and key == instance_id(g.out_bundles(src)[0], 1),
+            )
+        self[key] = value
+        return value
+
+
 @per_graph
-def _out_instance_table(g: Graph) -> dict:
-    """Per-vertex table for _out_instances, filled on demand: a vertex the
-    engine never rewrites at may carry a bundle too big to expand."""
-    return {}
+def _instance_table(g: Graph) -> _InstanceTable:
+    return _InstanceTable(g)
 
 
 def _out_instances(g: Graph, v: str) -> tuple[str, ...]:
     """Edge instances leaving the Regular vertex v, in canonical order
     (out-bundles are kept in id order)."""
-    table = _out_instance_table(g)
-    if v not in table:
-        insts = []
-        for b in g.out_bundles(v):
-            insts.extend(b.instances)
-        table[v] = tuple(insts)
-    return table[v]
+    return tuple(inst for inst, _ in _instance_table(g)[v])
 
 
 def special_edge(g: Graph, v: str) -> str:
@@ -91,71 +121,73 @@ def special_edge(g: Graph, v: str) -> str:
     return _out_instances(g, v)[0]
 
 
-def _is_forbidden(g: Graph, m: Monomial) -> bool:
-    if not m.real or not m.ghost or m.real[-1] != m.ghost[-1]:
-        return False
-    src = _inst_source(g, m.real[-1])
-    return g.is_regular(src) and m.real[-1] == special_edge(g, src)
-
-
-def _normalize_monomial(g: Graph, m: Monomial, coeff: Fraction, acc: dict) -> None:
+def _normalize_monomial(table: _InstanceTable, m: Monomial, c, acc: dict) -> None:
     """CK2-rewrite m into normal-form terms, accumulating into acc."""
-    work = [(m, coeff)]
+    work = [(m, c)]
     while work:
         mono, c = work.pop()
-        if not _is_forbidden(g, mono):
-            acc[mono] = acc.get(mono, Fraction(0)) + c
-            continue
-        gamma = mono.real[-1]
-        v = _inst_source(g, gamma)
-        head_real, head_ghost = mono.real[:-1], mono.ghost[:-1]
-        work.append((Monomial(head_real, head_ghost, v), c))
-        for f in _out_instances(g, v):
-            if f == gamma:
+        real, ghost, _ = mono
+        if real and ghost and real[-1] == ghost[-1]:
+            gamma = real[-1]
+            v, _, special = table[gamma]
+            if special:
+                head_real, head_ghost = real[:-1], ghost[:-1]
+                work.append((Monomial(head_real, head_ghost, v), c))
+                for f, anchor in table[v]:
+                    if f != gamma:
+                        work.append(
+                            (Monomial(head_real + (f,), head_ghost + (f,), anchor), -c)
+                        )
                 continue
-            anchor = _inst_target(g, f)
-            work.append(
-                (Monomial(head_real + (f,), head_ghost + (f,), anchor), -c)
-            )
+        acc[mono] = acc.get(mono, 0) + c
 
 
-def _mono_mul(g: Graph, m1: Monomial, m2: Monomial):
+def _mono_mul(table: _InstanceTable, m1: Monomial, m2: Monomial):
     """Resolve (α₁β₁*)(α₂β₂*): β₁ against α₂, matched from the start."""
-    b, a = m1.ghost, m2.real
-    k = min(len(b), len(a))
-    if b[:k] != a[:k]:
-        return None
-    if len(b) > k:
-        delta = b[k:]
-        if k == 0 and m2.anchor != _inst_source(g, delta[0]):
+    real1, b, anchor1 = m1
+    a, ghost2, anchor2 = m2
+    lb, la = len(b), len(a)
+    if lb > la:
+        if b[:la] != a:
             return None
-        return Monomial(m1.real, m2.ghost + delta, m1.anchor)
-    if len(a) > k:
-        delta = a[k:]
-        if k == 0 and m1.anchor != _inst_source(g, delta[0]):
+        delta = b[la:]
+        if not la and anchor2 != table[delta[0]][0]:
             return None
-        return Monomial(m1.real + delta, m2.ghost, m2.anchor)
-    if k == 0 and m1.anchor != m2.anchor:
+        return Monomial(real1, ghost2 + delta, anchor1)
+    if la > lb:
+        if a[:lb] != b:
+            return None
+        delta = a[lb:]
+        if not lb and anchor1 != table[delta[0]][0]:
+            return None
+        return Monomial(real1 + delta, ghost2, anchor2)
+    if b != a or (not la and anchor1 != anchor2):
         return None
-    return Monomial(m1.real, m2.ghost, m2.anchor)
+    return Monomial(real1, ghost2, anchor2)
 
 
 class AlgebraElement:
-    """Immutable normal-form linear combination of monomials."""
+    """Immutable normal-form linear combination of monomials.
+
+    Coefficients are ints, and Fractions only where a denominator is left.
+    """
 
     __slots__ = ("graph", "_terms")
 
     def __init__(self, graph: Graph, terms=None, _normalized=False):
+        """``_normalized=True`` hands over a normal-form dict of nonzero
+        exact coefficients, which the element keeps without a copy."""
         self.graph = graph
         if terms is None:
             terms = {}
         if _normalized:
-            self._terms = dict(terms)
+            self._terms = terms
         else:
+            table = _instance_table(graph)
             acc: dict = {}
             for mono, coeff in dict(terms).items():
-                _normalize_monomial(graph, mono, Fraction(coeff), acc)
-            self._terms = {m: c for m, c in acc.items() if c}
+                _normalize_monomial(table, mono, _exact(coeff), acc)
+            self._terms = _settled(acc)
 
     @property
     def terms(self) -> dict:
@@ -173,13 +205,13 @@ class AlgebraElement:
     @staticmethod
     def vertex(g: Graph, v: str) -> "AlgebraElement":
         g.check_vertices((v,))
-        return AlgebraElement(g, {Monomial((), (), v): Fraction(1)}, _normalized=True)
+        return AlgebraElement(g, {Monomial((), (), v): 1}, _normalized=True)
 
     @staticmethod
     def edge(g: Graph, inst: str) -> "AlgebraElement":
         b, idx = parse_instance(g, inst)
         mono = Monomial((instance_id(b, idx),), (), b.target)
-        return AlgebraElement(g, {mono: Fraction(1)}, _normalized=True)
+        return AlgebraElement(g, {mono: 1}, _normalized=True)
 
     @staticmethod
     def ghost_edge(g: Graph, inst: str) -> "AlgebraElement":
@@ -192,14 +224,16 @@ class AlgebraElement:
             raise GraphValidationError("elements belong to different graphs")
 
     def __add__(self, other):
-        if not isinstance(other, AlgebraElement):
+        if type(other) is not AlgebraElement and not isinstance(other, AlgebraElement):
             return NotImplemented
-        self._require_same_graph(other)
+        if other.graph is not self.graph:
+            self._require_same_graph(other)
         out = dict(self._terms)
+        get = out.get
         for m, c in other._terms.items():
-            s = out.get(m, Fraction(0)) + c
+            s = get(m, 0) + c
             if s:
-                out[m] = s
+                out[m] = s if type(s) is int else _exact(s)
             else:
                 out.pop(m, None)
         return AlgebraElement(self.graph, out, _normalized=True)
@@ -215,28 +249,31 @@ class AlgebraElement:
         return self + (-other)
 
     def scale(self, k) -> "AlgebraElement":
-        k = Fraction(k)
-        if not k:
-            return AlgebraElement.zero(self.graph)
+        k = _exact(k)
         return AlgebraElement(
-            self.graph, {m: c * k for m, c in self._terms.items()}, _normalized=True
+            self.graph,
+            _settled({m: c * k for m, c in self._terms.items()}),
+            _normalized=True,
         )
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        self._require_same_graph(other)
+        if type(other) is not AlgebraElement:
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
+            if not isinstance(other, AlgebraElement):
+                return NotImplemented
+        g = self.graph
+        if other.graph is not g:
+            self._require_same_graph(other)
+        table = _instance_table(g)
+        right = other._terms.items()
         acc: dict = {}
         for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                prod = _mono_mul(self.graph, m1, m2)
+            for m2, c2 in right:
+                prod = _mono_mul(table, m1, m2)
                 if prod is not None:
-                    _normalize_monomial(self.graph, prod, c1 * c2, acc)
-        return AlgebraElement(
-            self.graph, {m: c for m, c in acc.items() if c}, _normalized=True
-        )
+                    _normalize_monomial(table, prod, c1 * c2, acc)
+        return AlgebraElement(g, _settled(acc), _normalized=True)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -254,7 +291,9 @@ class AlgebraElement:
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.graph == other.graph and self._terms == other._terms
+        return (
+            self.graph is other.graph or self.graph == other.graph
+        ) and self._terms == other._terms
 
     def __hash__(self):
         return hash((self.graph, frozenset(self._terms.items())))
@@ -280,12 +319,12 @@ def v_H_element(g: Graph, v: str, H) -> AlgebraElement:
     if v not in bset.members:
         raise GraphValidationError(f"'{v}' is not a breaking vertex of H")
     hset = set(_members(H))
-    terms = {Monomial((), (), v): Fraction(1)}
+    terms = {Monomial((), (), v): 1}
     for b in g.out_bundles(v):
         if b.mult is OMEGA or b.target in hset:
             continue
         for inst in b.instances:
-            terms[Monomial((inst,), (inst,), b.target)] = Fraction(-1)
+            terms[Monomial((inst,), (inst,), b.target)] = -1
     return AlgebraElement(g, terms, _normalized=True)
 
 
@@ -436,7 +475,7 @@ class _Parser:
                 raise ExpressionError("number has too many digits", col) from None
             if den == 0:
                 raise ExpressionError("zero denominator", col)
-            return ("scalar", Fraction(num, den))
+            return ("scalar", _exact(Fraction(num, den)))
         if kind == "ident":
             return ("element", self._resolve(text, col))
         if kind == "sym" and text == "(":

@@ -1,6 +1,9 @@
 import itertools
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -249,6 +252,35 @@ def test_non_utf8_graph_file(tmp_path, capsys):
     assert err == "error: line 1, column 11: invalid UTF-8 byte 0xff\n"
 
 
+def test_unreadable_path_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "validate", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: [Errno ")
+
+
+def test_closed_stdout_exits_0_quietly(tmp_path):
+    # the report is far larger than a pipe's buffer, so the process is still
+    # writing when the reader closes its end after ten bytes
+    big = tmp_path / "big.lpa"
+    big.write_text("vertices " + " ".join(f"v{i}" for i in range(12000)) + "\n")
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "leavittpath", "report", str(big)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert head == b'{"graph_di'
+    assert err == b""
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as ei:
         cli.run(["classify"])  # missing file argument
@@ -344,3 +376,49 @@ def test_eval_numerals_are_ascii_and_bounded(tmp_path, capsys, expr, message):
     code, out, err = run_cli(capsys, "eval", str(path), "--expr", expr)
     assert (code, out) == (2, "")
     assert message in err
+
+
+# -- usage bytes: help texts and usage errors ----------------------------------
+
+# `lpa --help`, each `lpa <cmd> --help` and usage errors, as printed before
+# the parser built only the subcommand that runs
+USAGE_GOLDEN = json.loads(
+    (pathlib.Path(ROOT) / "tests" / "golden" / "cli_usage.json").read_text(
+        encoding="utf-8"
+    )
+)
+
+
+def usage_bytes(capsys, argv, parse=cli.run):
+    try:
+        code = parse(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return {
+        "argv": list(argv),
+        "exit": code,
+        "stdout": captured.out,
+        "stderr": captured.err,
+    }
+
+
+@pytest.mark.skipif(
+    f"{sys.version_info[0]}.{sys.version_info[1]}" != USAGE_GOLDEN["python"],
+    reason="argparse's help layout is pinned for the Python it was recorded with",
+)
+def test_help_and_usage_errors_are_byte_identical(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", str(USAGE_GOLDEN["columns"]))
+    for case in USAGE_GOLDEN["cases"]:
+        assert usage_bytes(capsys, case["argv"]) == case
+
+
+def test_usage_bytes_match_a_parser_with_every_subcommand_built(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", str(USAGE_GOLDEN["columns"]))
+
+    def full_parse(argv):
+        return cli.build_parser().parse_args(argv)
+
+    for case in USAGE_GOLDEN["cases"]:
+        lazy = usage_bytes(capsys, case["argv"])
+        assert lazy == usage_bytes(capsys, case["argv"], full_parse)

@@ -13,6 +13,8 @@ from leavittpath import (
     v_H_element,
 )
 
+from leavittpath.terms import _instance_table, element_payload
+
 from conftest import fixture_graph
 
 
@@ -188,3 +190,80 @@ def test_elements_of_different_graphs_do_not_mix():
     b = V(fixture_graph("line3"), "v1")
     with pytest.raises(GraphValidationError):
         _ = a + b
+
+
+# -- exact coefficients: ints first, Fractions only on real denominators ------
+
+
+def _coeffs(a):
+    return [c for _, c in sorted(a.terms.items())]
+
+
+def test_fraction_products_landing_on_integers_are_ints():
+    g = fixture_graph("line2")
+    v = V(g, "v1")
+    x = v.scale(Fraction(1, 2)) * v.scale(2)
+    assert x == v
+    assert format_element(x) == "1 · v1"
+    assert [type(c) for c in _coeffs(x)] == [int]
+    assert parse_element(g, "(1/2 v1)(2 v1)") == v
+
+
+def test_fraction_sums_landing_on_integers_render_like_ints():
+    g = fixture_graph("line2")
+    half = parse_element(g, "1/2 v1")
+    assert [type(c) for c in _coeffs(half)] == [Fraction]
+    whole = half + half
+    assert format_element(whole) == format_element(V(g, "v1"))
+    assert [type(c) for c in _coeffs(whole)] == [int]
+    assert format_element(parse_element(g, "1/2 v1 + 1/2 v1")) == "1 · v1"
+
+
+def test_fraction_one_and_int_one_build_the_same_element():
+    g = fixture_graph("chain3")
+    mono = E(g, "b2").star().terms.popitem()[0]
+    a = AlgebraElement(g, {mono: Fraction(1)})
+    b = AlgebraElement(g, {mono: 1})
+    assert a == b
+    assert hash(a) == hash(b)
+    assert [type(c) for c in _coeffs(a)] == [int]
+    assert AlgebraElement(g, {mono: Fraction(3, 1)}) == b.scale(3)
+
+
+def test_element_payload_coefficient_strings():
+    g = fixture_graph("line2")
+    x = parse_element(g, "3 v1 - 3/2 e1 + 4/2 v2 - 2 e1*")
+    coeffs = {
+        (tuple(t["real"]), tuple(t["ghost"]), t["anchor"]): t["coeff"]
+        for t in element_payload(x)
+    }
+    assert coeffs == {
+        ((), (), "v1"): "3",
+        ((), (), "v2"): "2",
+        (("e1",), (), "v2"): "-3/2",
+        ((), ("e1",), "v2"): "-2",
+    }
+    assert element_payload(V(g, "v1").scale(Fraction(6, 3))) == element_payload(
+        V(g, "v1").scale(2)
+    )
+
+
+def test_scale_accepts_what_fraction_accepts():
+    g = fixture_graph("line2")
+    v = V(g, "v1")
+    assert v.scale("3/2") == v.scale(Fraction(3, 2))
+    assert format_element(v.scale("3/2")) == "3/2 · v1"
+    assert v.scale("4/2") == 2 * v
+    assert v.scale(0.5) == v.scale(Fraction(1, 2))
+    assert v.scale("0").is_zero()
+
+
+def test_instance_table_expands_only_vertices_rewritten_at():
+    # γ(b) = f is rewritten; a's bundle is looked up instance by instance
+    g = parse_graph("vertices a b c\nedge e a b x1000000\nedge f b c\n")
+    x = parse_element(g, "e[2] f f* e[2]*")
+    assert format_element(x) == "1 · e[2] (e[2])*"
+    table = _instance_table(g)
+    assert "b" in table and "a" not in table
+    assert table["e[2]"] == ("a", "b", False)
+    assert table["f"] == ("b", "c", True)
