@@ -27,7 +27,6 @@ from .classify import (
     p_ex,
     p_ppi,
     properly_infinite,
-    split_ppi,
 )
 from .closures import (
     BreakingSet,
@@ -165,7 +164,6 @@ __all__ = [
     "reachable",
     "restriction_graph",
     "saturate_once",
-    "split_ppi",
     "to_dot",
     "to_text",
     "v_H_element",

@@ -107,14 +107,18 @@ def scc_labels(n: int, indptr: list[int], indices: list[int]) -> list[int]:
 def saturation_step(mask: int, regular) -> int:
     """Vertices that one saturation step adds to ``mask``.
 
-    ``regular`` lists (vertex, out-target mask) pairs of the regular
+    ``regular`` lists (vertex, successor indices) pairs of the regular
     vertices.  The step adds, simultaneously, every regular vertex outside
-    the set whose targets all lie inside.
+    the set whose successors all lie inside.
     """
     added = 0
-    for v, targets in regular:
-        if not mask >> v & 1 and not targets & ~mask:
-            added |= 1 << v
+    for v, succ in regular:
+        if not mask >> v & 1:
+            for t in succ:
+                if not mask >> t & 1:
+                    break
+            else:
+                added |= 1 << v
     return added
 
 

@@ -14,12 +14,11 @@ terminal SCCs of class One and TwoPlus.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 
 from .closures import breaking_capable, breaking_vertices, hs_closure
 from .errors import InvariantViolation
-from .graph import INFINITE_EMITTER, OMEGA, SINK, Graph, condense, per_graph, to_text
+from .graph import INFINITE_EMITTER, SINK, Graph, condense, per_graph, to_text
 
 CSP_ZERO = "Zero"
 CSP_ONE = "One"
@@ -38,17 +37,9 @@ def _scc_csp_classes(g: Graph) -> tuple[str, ...]:
     closed simple path (TwoPlus).
     """
     cond = condense(g)
-    scc_of = cond.scc_of
-    internal = [0] * len(cond.sccs)
-    for c, out, targets in zip(scc_of, g.out_table, g.successors):
-        for b, t in zip(out, targets):
-            if scc_of[t] == c:
-                internal[c] += math.inf if b.mult is OMEGA else b.mult
     return tuple(
-        CSP_ZERO if cond.trivial[i]
-        else CSP_ONE if internal[i] == len(scc)
-        else CSP_TWO_PLUS
-        for i, scc in enumerate(cond.sccs)
+        CSP_ZERO if not k else CSP_ONE if k == len(scc) else CSP_TWO_PLUS
+        for k, scc in zip(cond.internal, cond.sccs)
     )
 
 
@@ -123,12 +114,6 @@ def properly_infinite(g: Graph) -> tuple[str, ...]:
 def p_ppi(g: Graph) -> tuple[str, ...]:
     """Vertices with a properly infinite, breaking-vertex-free tree (P_ppi)."""
     return classify(g).p_ppi
-
-
-def split_ppi(g: Graph) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
-    """The (P_ec′, P_pec, P′) split of P_ppi."""
-    c = classify(g)
-    return c.p_ec_prime, c.p_pec, c.p_prime
 
 
 def condition_K(g: Graph) -> bool:

@@ -20,13 +20,15 @@ from .graph import INFINITE_EMITTER, OMEGA, REGULAR, Graph, per_graph, to_text
 
 
 @per_graph
-def _regular_targets(g: Graph) -> tuple[tuple[int, int], ...]:
-    """(vertex index, target mask) of each Regular vertex, for saturation."""
-    regular = g.kind_mask(REGULAR)
+def _regular_targets(g: Graph) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(vertex index, successor indices) of each Regular vertex, for
+    saturation."""
+    # the mask's digits, lowest first: a shift per vertex would copy it
+    regular = format(g.kind_mask(REGULAR), "b")[::-1]
     return tuple(
-        (i, targets)
-        for i, targets in enumerate(g.target_masks)
-        if regular >> i & 1
+        (i, succ)
+        for i, (succ, bit) in enumerate(zip(g.successors, regular))
+        if bit == "1"
     )
 
 

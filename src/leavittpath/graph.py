@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import re
 from collections import namedtuple
 from itertools import accumulate, chain, compress
@@ -167,7 +168,6 @@ class Graph:
         out: list[list[EdgeBundle]] = [[] for _ in verts]
         inc: list[list[EdgeBundle]] = [[] for _ in verts]
         succ: list[list[int]] = [[] for _ in verts]
-        target_masks = [0] * len(verts)
         emitters = 0
         try:
             for b in self._bundles:
@@ -180,7 +180,6 @@ class Graph:
                 out[s].append(b)
                 inc[t].append(b)
                 succ[s].append(t)
-                target_masks[s] |= 1 << t
         except (KeyError, ValueError):
             _raise_invalid_bundle(index, bs)
         sinks = bifurcations = 0
@@ -197,7 +196,6 @@ class Graph:
         self._out = tuple(map(tuple, out))
         self._in = tuple(map(tuple, inc))
         self._succ = tuple(map(tuple, succ))
-        self._target_masks = tuple(target_masks)
         self._targets = None  # filled on first use of targets()
         self._kinds = tuple(kinds)
         self._kind_masks = {
@@ -253,7 +251,10 @@ class Graph:
         """Distinct targets of v's out-bundles, sorted."""
         targets = self._targets
         if targets is None:
-            targets = self._targets = tuple(map(self.set_of, self._target_masks))
+            name = self._vertices.__getitem__
+            targets = self._targets = tuple(
+                tuple(map(name, sorted(set(ts)))) for ts in self._succ
+            )
         return targets[self.index(v)]
 
     # -- the integer view ---------------------------------------------------
@@ -285,11 +286,6 @@ class Graph:
         """Per vertex index, the target index of each of its out-bundles,
         in the order of ``out_table``."""
         return self._succ
-
-    @property
-    def target_masks(self) -> tuple[int, ...]:
-        """Per vertex index, the mask of its targets."""
-        return self._target_masks
 
     def kind_mask(self, kind: str) -> int:
         """The vertices of one kind: SINK, REGULAR or INFINITE_EMITTER."""
@@ -345,14 +341,16 @@ class Graph:
 
 
 class Condensation(
-    namedtuple("Condensation", "scc_of sccs masks dag trivial terminal")
+    namedtuple("Condensation", "scc_of sccs masks dag internal trivial terminal")
 ):
     """SCC partition of a graph plus its component DAG.
 
     Component ids are assigned by smallest member vertex (sorted order),
     so numbering is deterministic for a given graph.  ``scc_of[i]`` is the
     component of vertex index i and ``masks[c]`` the vertex mask of
-    component c.
+    component c.  ``internal[c]`` counts the edge instances that stay
+    inside component c (``math.inf`` once an ω-bundle does), and a
+    component is trivial when that count is 0.
     """
 
     __slots__ = ()
@@ -384,24 +382,27 @@ def condense(g: Graph) -> Condensation:
     ncomp = max(labels) + 1 if labels else 0
     members: list[list[str]] = [[] for _ in range(ncomp)]
     masks = [0] * ncomp
+    internal = [0] * ncomp
     dag_sets: list[set[int]] = [set() for _ in range(ncomp)]
-    for i, (v, c, ts) in enumerate(zip(g.vertices, labels, succ)):
+    for i, (v, c, ts, out) in enumerate(zip(g.vertices, labels, succ, g._out)):
         members[c].append(v)
         masks[c] |= 1 << i
-        dag_sets[c].update(map(labels.__getitem__, ts))
+        comps = list(map(labels.__getitem__, ts))
+        dag_sets[c].update(comps)
+        # the edges back into c are the component's internal edges
+        if c in comps:
+            for b, d in zip(out, comps):
+                if d == c:
+                    internal[c] += math.inf if b.mult is OMEGA else b.mult
     for c, targets in enumerate(dag_sets):
         targets.discard(c)
-    # a one-vertex SCC is non-trivial only through a self-loop
-    trivial = tuple(
-        len(m) == 1 and not g._target_masks[masks[c].bit_length() - 1] & masks[c]
-        for c, m in enumerate(members)
-    )
     return Condensation(
         scc_of=tuple(labels),
         sccs=tuple(map(tuple, members)),
         masks=tuple(masks),
         dag=tuple(tuple(sorted(s)) for s in dag_sets),
-        trivial=trivial,
+        internal=tuple(internal),
+        trivial=tuple(not k for k in internal),
         terminal=tuple(not s for s in dag_sets),
     )
 

@@ -22,12 +22,7 @@ from .classify import (
 from .closures import breaking_capable, hs_closure
 from .errors import InvariantViolation
 from .graph import Graph, to_text
-from .ideals import (
-    ideal_descriptor,
-    is_purely_infinite_ideal,
-    largest_ideals_report,
-    pi_decomposition,
-)
+from .ideals import largest_ideals_report, pi_decomposition
 from .oracles import (
     b_infinity_oracle,
     csp_class_oracle,
@@ -56,22 +51,17 @@ def check_invariants(g: Graph) -> None:
         _fail("P_ec not contained in P_ppi")
     if not set(c.p_ppi) <= set(c.p_pi):
         _fail("P_ppi not contained in P_pi")
-    ppi = hs_closure(g, c.p_ppi)
-    if not (ppi.is_hereditary and ppi.is_saturated and ppi.members == c.p_ppi):
-        _fail("P_ppi is not hereditary and saturated")
     report = largest_ideals_report(g)
     if g.vertices and not report.dense:
         _fail("union of the four classifier sets is not dense")
 
 
 def check_maximality(g: Graph) -> None:
-    """P_ppi passes the purely-infinite descriptor test, and the closure of
-    P_ppi plus any vertex from outside holds a vertex that is not properly
-    infinite or is breaking-capable, so no larger set qualifies."""
+    """The closure of P_ppi plus any vertex from outside holds a vertex that
+    is not properly infinite or is breaking-capable, so no larger set
+    qualifies.  (``classify`` has already certified P_ppi itself as
+    hereditary and saturated.)"""
     c = classify(g)
-    base = ideal_descriptor(g, c.p_ppi)
-    if not is_purely_infinite_ideal(g, base):
-        _fail("P_ppi descriptor rejected by is_purely_infinite_ideal")
     spoilers = ~g.mask_of(c.p_pi) | g.mask_of(breaking_capable(g))
     for v in g.set_of(~g.mask_of(c.p_ppi)):
         if not g.mask_of(hs_closure(g, c.p_ppi + (v,))) & spoilers:

@@ -1,4 +1,6 @@
+import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -144,7 +146,6 @@ def _view_from_definitions(vertices, bundles):
             tuple(b for b in bs if b.target == v),
             tuple(vs.index(b.target) for b in out),
             targets,
-            sum(1 << vs.index(t) for t in targets),
             INFINITE_EMITTER if omega else REGULAR if out else SINK,
             omega or sum(b.mult for b in out) >= 2,
         ))
@@ -162,12 +163,11 @@ def test_view_matches_definitions():
         assert h == g
         rows = _view_from_definitions(vs, bs)
         assert h.vertices == tuple(row[0] for row in rows)
-        for i, (v, out, inc, succ, targets, tmask, kind, bif) in enumerate(rows):
+        for i, (v, out, inc, succ, targets, kind, bif) in enumerate(rows):
             assert h.out_bundles(v) == h.out_table[i] == out
             assert h.in_bundles(v) == inc
             assert h.successors[i] == succ
             assert h.targets(v) == targets
-            assert h.target_masks[i] == tmask
             assert h.kind(v) == kind
             for k in (SINK, REGULAR, INFINITE_EMITTER):
                 assert (h.kind_mask(k) >> i & 1) == (k == kind)
@@ -195,11 +195,33 @@ def _check_condensation(g):
         assert set(cond.sccs[c]) == {w for w in vs if w in reach[v] and v in reach[w]}
         loop = any(b.source == b.target == v for b in g.bundles)
         assert cond.trivial[c] == (len(cond.sccs[c]) == 1 and not loop)
+        assert cond.internal[c] == sum(
+            math.inf if b.mult is OMEGA else b.mult for b in g.bundles
+            if b.source in cond.sccs[c] and b.target in cond.sccs[c]
+        )
+        assert cond.trivial[c] == (cond.internal[c] == 0)
         assert cond.dag[c] == tuple(sorted({
             cond.scc_of[vs.index(b.target)] for b in g.bundles
             if b.source in cond.sccs[c] and b.target not in cond.sccs[c]
         }))
         assert cond.terminal[c] == (not cond.dag[c])
+
+
+def test_graph_memory_is_linear_on_a_fan_in():
+    # every vertex has one edge into the last one: a table holding one n-bit
+    # target mask per vertex would keep about 53 MB here
+    n = 20_000
+    text = f"vertices {' '.join(f'v{i:05}' for i in range(n))}\n" + "".join(
+        f"edge e{i} v{i:05} v{n - 1:05}\n" for i in range(n)
+    )
+    tracemalloc.start()
+    try:
+        g = parse_graph(text)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(g.vertices) == n
+    assert retained < 20 * 2**20
 
 
 def test_digest_is_stable_under_reordering():
