@@ -44,13 +44,15 @@ def reach_masks(comp_masks: list[int], dag) -> list[int]:
     return reach
 
 
-def scc_labels(n: int, indptr: list[int], indices: list[int]) -> list[int]:
-    """Strongly connected components of a CSR adjacency structure.
+def scc_labels(succ) -> list[int]:
+    """Strongly connected components of an adjacency list.
 
-    Iterative Tarjan.  Components are renumbered so that label order follows
-    the smallest member vertex index: the component containing the overall
-    smallest unassigned vertex gets the smallest label, and so on.
+    ``succ[v]`` lists the vertices v has an edge into.  Iterative Tarjan.
+    Components are renumbered so that label order follows the smallest
+    member vertex index: the component containing the overall smallest
+    unassigned vertex gets the smallest label, and so on.
     """
+    n = len(succ)
     UNSEEN = -1
     index = [UNSEEN] * n
     low = [0] * n
@@ -61,41 +63,38 @@ def scc_labels(n: int, indptr: list[int], indices: list[int]) -> list[int]:
     for root in range(n):
         if index[root] != UNSEEN:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        onstack[root] = True
+        work = [(root, iter(succ[root]))]
         while work:
-            v, pos = work[-1]
-            if pos == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                onstack[v] = True
-            descended = False
-            start, end = indptr[v], indptr[v + 1]
-            for k in range(start + pos, end):
-                w = indices[k]
+            v, targets = work[-1]
+            for w in targets:
                 if index[w] == UNSEEN:
-                    work[-1] = (v, k - start + 1)
-                    work.append((w, 0))
-                    descended = True
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    onstack[w] = True
+                    work.append((w, iter(succ[w])))
                     break
                 if onstack[w] and low[w] < low[v]:
                     low[v] = low[w]
-            if descended:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            if work:
-                u = work[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        onstack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
     comps.sort(key=min)
     labels = [0] * n
     for lab, comp in enumerate(comps):

@@ -38,8 +38,8 @@ def _scc_csp_classes(g: Graph) -> tuple[str, ...]:
     """
     cond = condense(g)
     return tuple(
-        CSP_ZERO if not k else CSP_ONE if k == len(scc) else CSP_TWO_PLUS
-        for k, scc in zip(cond.internal, cond.sccs)
+        CSP_ZERO if not k else CSP_ONE if k == m.bit_count() else CSP_TWO_PLUS
+        for k, m in zip(cond.internal, cond.masks)
     )
 
 
@@ -49,7 +49,7 @@ def _class_mask(g: Graph, csp: str, terminal: bool = False) -> int:
     cond = condense(g)
     mask = 0
     for c, cls in enumerate(_scc_csp_classes(g)):
-        if cls == csp and (cond.terminal[c] or not terminal):
+        if cls == csp and not (terminal and cond.dag[c]):
             mask |= cond.masks[c]
     return mask
 
@@ -85,7 +85,6 @@ def b_infinity(g: Graph) -> tuple[str, ...]:
     return classify(g).p_binf
 
 
-@per_graph
 def properly_infinite(g: Graph) -> tuple[str, ...]:
     """Properly infinite vertices: v lies in the closure of its TwoPlus tree.
 
@@ -99,14 +98,15 @@ def properly_infinite(g: Graph) -> tuple[str, ...]:
     of the trees of the TwoPlus SCCs it reaches: one pass over the DAG.
     """
     cond = condense(g)
+    reach = g.reach_masks()
     held = cond.reach_union([
-        g.tree_mask(m) if cls == CSP_TWO_PLUS else 0
-        for m, cls in zip(cond.masks, _scc_csp_classes(g))
+        tree if cls == CSP_TWO_PLUS else 0
+        for tree, cls in zip(reach, _scc_csp_classes(g))
     ])
     bad = g.kind_mask(SINK) | g.kind_mask(INFINITE_EMITTER) | _class_mask(g, CSP_ONE)
     found = 0
-    for m, h in zip(cond.masks, held):
-        if not g.tree_mask(m) & bad & ~h:
+    for m, tree, h in zip(cond.masks, reach, held):
+        if not tree & bad & ~h:
             found |= m
     return g.set_of(found)
 
@@ -181,7 +181,7 @@ def classify(g: Graph) -> Classification:
     cond_K = not one
     # a cycle without exits is a non-trivial SCC with no bifurcation
     cond = condense(g)
-    cond_L = all(t or m & g.bifurcations for t, m in zip(cond.trivial, cond.masks))
+    cond_L = all(not k or m & g.bifurcations for k, m in zip(cond.internal, cond.masks))
 
     def fail(detail: str):
         raise InvariantViolation(detail, graph_text=to_text(g))

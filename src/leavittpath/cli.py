@@ -284,9 +284,20 @@ def _dot_args(p) -> None:
     p.add_argument("file")
 
 
+def _positive_int(text: str) -> int:
+    """An int of at least 1; anything else is a usage error (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _selftest_args(p) -> None:
-    p.add_argument("--cases", type=int, default=300)
-    p.add_argument("--max-vertices", type=int, default=8)
+    p.add_argument("--cases", type=_positive_int, default=300)
+    p.add_argument("--max-vertices", type=_positive_int, default=8)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument(
         "--exhaustive-n4",

@@ -16,7 +16,7 @@ import hashlib
 import math
 import re
 from collections import namedtuple
-from itertools import accumulate, chain, compress
+from itertools import compress
 from operator import attrgetter
 
 from . import _kernel
@@ -298,30 +298,27 @@ class Graph:
 
     @per_graph
     def reach_masks(self) -> list[int]:
-        """Per-vertex reflexive-transitive reachability masks (memoized).
-
-        Read off the condensation: every vertex of an SCC reaches exactly
-        what the SCC reaches in the component DAG.
-        """
+        """Per SCC of ``condense(self)``, the mask of every vertex its
+        members reach, themselves included (memoized)."""
         cond = condense(self)
-        reach = cond.reach_union(cond.masks)
-        return list(map(reach.__getitem__, cond.scc_of))
+        return cond.reach_union(cond.masks)
 
     def tree_mask(self, mask: int) -> int:
         """T(X) of the set ``mask``: every vertex it reaches, itself included."""
         reach = self.reach_masks()
+        scc_of = condense(self).scc_of
         tree = 0
         while mask:
-            tree |= reach[(mask & -mask).bit_length() - 1]
+            tree |= reach[scc_of[(mask & -mask).bit_length() - 1]]
             mask &= ~tree
         return tree
 
     def reaching(self, mask: int) -> int:
         """The vertices whose tree T(v) meets the set ``mask``."""
         found = 0
-        for i, reach in enumerate(self.reach_masks()):
+        for scc, reach in zip(condense(self).masks, self.reach_masks()):
             if reach & mask:
-                found |= 1 << i
+                found |= scc
         return found
 
     # -- equality / hashing -------------------------------------------------
@@ -340,17 +337,16 @@ class Graph:
         return f"Graph({len(self._vertices)} vertices, {len(self._bundles)} bundles)"
 
 
-class Condensation(
-    namedtuple("Condensation", "scc_of sccs masks dag internal trivial terminal")
-):
+class Condensation(namedtuple("Condensation", "scc_of masks dag internal")):
     """SCC partition of a graph plus its component DAG.
 
     Component ids are assigned by smallest member vertex (sorted order),
     so numbering is deterministic for a given graph.  ``scc_of[i]`` is the
-    component of vertex index i and ``masks[c]`` the vertex mask of
-    component c.  ``internal[c]`` counts the edge instances that stay
-    inside component c (``math.inf`` once an ω-bundle does), and a
-    component is trivial when that count is 0.
+    component of vertex index i, ``masks[c]`` the vertex mask of component
+    c and ``dag[c]`` the components it has an edge into, sorted; c is
+    terminal when that is empty.  ``internal[c]`` counts the edge instances
+    that stay inside component c (``math.inf`` once an ω-bundle does), and
+    a component is trivial when that count is 0.
     """
 
     __slots__ = ()
@@ -360,32 +356,22 @@ class Condensation(
         reaches, itself included; linear in the DAG edges."""
         return _kernel.reach_masks(values, self.dag)
 
-    def non_trivial_terminal(self) -> tuple[int, ...]:
-        return tuple(
-            i
-            for i in range(len(self.sccs))
-            if self.terminal[i] and not self.trivial[i]
-        )
-
 
 @per_graph
 def condense(g: Graph) -> Condensation:
-    """Strongly connected components, their flags and the DAG (memoized).
+    """Strongly connected components, their edge counts and the DAG
+    (memoized).
 
     Read off the integer successors of the graph: no vertex name is looked
     up.
     """
-    succ = g._succ
-    labels = _kernel.scc_labels(
-        len(succ), [0, *accumulate(map(len, succ))], list(chain.from_iterable(succ))
-    )
+    succ = g.successors
+    labels = _kernel.scc_labels(succ)
     ncomp = max(labels) + 1 if labels else 0
-    members: list[list[str]] = [[] for _ in range(ncomp)]
     masks = [0] * ncomp
     internal = [0] * ncomp
     dag_sets: list[set[int]] = [set() for _ in range(ncomp)]
-    for i, (v, c, ts, out) in enumerate(zip(g.vertices, labels, succ, g._out)):
-        members[c].append(v)
+    for i, (c, ts, out) in enumerate(zip(labels, succ, g.out_table)):
         masks[c] |= 1 << i
         comps = list(map(labels.__getitem__, ts))
         dag_sets[c].update(comps)
@@ -398,12 +384,9 @@ def condense(g: Graph) -> Condensation:
         targets.discard(c)
     return Condensation(
         scc_of=tuple(labels),
-        sccs=tuple(map(tuple, members)),
         masks=tuple(masks),
         dag=tuple(tuple(sorted(s)) for s in dag_sets),
         internal=tuple(internal),
-        trivial=tuple(not k for k in internal),
-        terminal=tuple(not s for s in dag_sets),
     )
 
 

@@ -98,8 +98,7 @@ def _route_table(g: Graph, mid, final):
         len(free_final) == len(final)
         and not any(b.mult is OMEGA and b.target in usable for b in mid)
         and not any(
-            mask & usable_mask and not trivial
-            for mask, trivial in zip(cond.masks, cond.trivial)
+            mask & usable_mask and k for mask, k in zip(cond.masks, cond.internal)
         )
     )
     return finite, usable, mid_from, final_from

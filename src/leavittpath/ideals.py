@@ -76,20 +76,20 @@ def pi_decomposition(g: Graph) -> tuple[CycleClass, ...]:
     non-trivial SCCs inside P′ are grouped by symmetrized reachability,
     closed transitively: two SCCs land together when a chain of
     one-way-connected SCCs joins them.  Working per SCC is sound because
-    all cycles within one SCC are mutually connected.
+    all cycles within one SCC are mutually connected.  The classes' trees
+    must be pairwise disjoint; an overlap raises ``InvariantViolation``.
     """
     cls = classify(g)
     pec, prime = g.mask_of(cls.p_pec), g.mask_of(cls.p_prime)
     cond = condense(g)
-    classes: list[CycleClass] = []
+    reach = g.reach_masks()
+    # (kind, member SCCs, vertex mask, tree mask) per class
+    found: list[tuple[str, tuple[int, ...], int, int]] = []
 
     pec_cover = 0
-    for i in cond.non_trivial_terminal():
-        mask = cond.masks[i]
-        if not mask & ~pec:
-            classes.append(CycleClass(
-                "Pec", (i,), cond.sccs[i], g.set_of(g.tree_mask(mask)), PEC_LABEL
-            ))
+    for i, mask in enumerate(cond.masks):
+        if cond.internal[i] and not cond.dag[i] and not mask & ~pec:
+            found.append(("Pec", (i,), mask, reach[i]))
             pec_cover |= mask
     if pec_cover != pec:
         raise InvariantViolation(
@@ -100,33 +100,30 @@ def pi_decomposition(g: Graph) -> tuple[CycleClass, ...]:
     # the classes it reaches or that reach it
     groups: list[tuple[tuple[int, ...], int, int]] = []
     for i, mask in enumerate(cond.masks):
-        if cond.trivial[i] or mask & ~prime:
+        if not cond.internal[i] or mask & ~prime:
             continue
-        sccs, tree = (i,), g.tree_mask(mask)
+        sccs, tree = (i,), reach[i]
         for other in [o for o in groups if o[2] & mask or tree & o[1]]:
             groups.remove(other)
             sccs = tuple(sorted(other[0] + sccs))
             mask, tree = mask | other[1], tree | other[2]
         groups.append((sccs, mask, tree))
-    for sccs, mask, tree in groups:
-        classes.append(CycleClass(
-            "Pprime", sccs, g.set_of(mask), g.set_of(tree), PPRIME_LABEL
-        ))
+    # component ids follow the smallest member vertex, so sorting by member
+    # SCCs orders the classes by their vertices
+    found += [("Pprime", *group) for group in sorted(groups)]
 
-    classes.sort(key=lambda c: (c.kind != "Pec", c.class_vertices))
-    _check_tree_disjointness(g, classes)
-    return tuple(classes)
-
-
-def _check_tree_disjointness(g: Graph, classes) -> None:
-    seen: set[str] = set()
-    for c in classes:
-        overlap = seen.intersection(c.tree)
-        if overlap:
+    classes = []
+    seen = 0
+    for kind, sccs, mask, tree in found:
+        if tree & seen:
             raise InvariantViolation(
-                f"cycle-class trees overlap at '{sorted(overlap)[0]}'", to_text(g)
+                f"cycle-class trees overlap at '{g.set_of(tree & seen)[0]}'",
+                to_text(g),
             )
-        seen.update(c.tree)
+        seen |= tree
+        label = PEC_LABEL if kind == "Pec" else PPRIME_LABEL
+        classes.append(CycleClass(kind, sccs, g.set_of(mask), g.set_of(tree), label))
+    return tuple(classes)
 
 
 class LargestIdealsReport(

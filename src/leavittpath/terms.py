@@ -296,7 +296,8 @@ class AlgebraElement:
         ) and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.graph, frozenset(self._terms.items())))
+        # equal elements have equal terms; hashing the graph would cost O(|E|)
+        return hash(frozenset(self._terms.items()))
 
     def __repr__(self):
         return f"AlgebraElement({format_element(self)})"
@@ -443,15 +444,12 @@ class _Parser:
             negate = True
         value = self.factor()
         while True:
-            kind, text, col = self.peek()
+            kind, text, _ = self.peek()
             if kind in ("number", "ident") or (kind == "sym" and text == "("):
-                rhs = self.factor()
-                value = self._combine_product(value, rhs, col)
+                value = value * self.factor()
             else:
                 break
-        if negate:
-            value = (value[0], -value[1])
-        return value
+        return -value if negate else value
 
     def factor(self):
         value = self.atom()
@@ -459,9 +457,9 @@ class _Parser:
             kind, text, _ = self.peek()
             if kind == "sym" and text == "*":
                 self.advance()
-                if value[0] == "element":
-                    value = ("element", value[1].star())
                 # a starred scalar is the scalar itself (ℚ is fixed by *)
+                if isinstance(value, AlgebraElement):
+                    value = value.star()
             else:
                 return value
 
@@ -475,9 +473,9 @@ class _Parser:
                 raise ExpressionError("number has too many digits", col) from None
             if den == 0:
                 raise ExpressionError("zero denominator", col)
-            return ("scalar", _exact(Fraction(num, den)))
+            return _exact(Fraction(num, den))
         if kind == "ident":
-            return ("element", self._resolve(text, col))
+            return self._resolve(text, col)
         if kind == "sym" and text == "(":
             self.depth += 1
             if self.depth > _MAX_NESTING:
@@ -507,18 +505,9 @@ class _Parser:
         raise ExpressionError(f"unknown generator '{name}'", col)
 
     def _combine_sum(self, lhs, rhs, op: str, col: int):
-        if lhs[0] != "element" or rhs[0] != "element":
+        if not (isinstance(lhs, AlgebraElement) and isinstance(rhs, AlgebraElement)):
             raise ExpressionError("scalar term without generator", col)
-        return ("element", lhs[1] + rhs[1] if op == "+" else lhs[1] - rhs[1])
-
-    def _combine_product(self, lhs, rhs, col: int):
-        if lhs[0] == "scalar" and rhs[0] == "scalar":
-            return ("scalar", lhs[1] * rhs[1])
-        if lhs[0] == "scalar":
-            return ("element", rhs[1].scale(lhs[1]))
-        if rhs[0] == "scalar":
-            return ("element", lhs[1].scale(rhs[1]))
-        return ("element", lhs[1] * rhs[1])
+        return lhs + rhs if op == "+" else lhs - rhs
 
 
 def parse_element(g: Graph, expr: str) -> AlgebraElement:
@@ -529,7 +518,7 @@ def parse_element(g: Graph, expr: str) -> AlgebraElement:
     postfix ``*`` for the involution.  A bare scalar is rejected: elements
     live in the span of the monomials.
     """
-    kind, value = _Parser(g, expr).parse()
-    if kind != "element":
+    value = _Parser(g, expr).parse()
+    if not isinstance(value, AlgebraElement):
         raise ExpressionError("scalar term without generator")
     return value

@@ -324,6 +324,21 @@ def test_selftest_exhaustive_n4_sweeps_enumerated_graphs(capsys, monkeypatch):
     assert "exhaustive 4-vertex sweep passed (40 graphs)" in out
 
 
+@pytest.mark.parametrize("option,value", [
+    ("--max-vertices", "0"),
+    ("--max-vertices", "-3"),
+    ("--cases", "0"),
+    ("--cases", "-1"),
+])
+def test_selftest_rejects_counts_below_one(capsys, option, value):
+    with pytest.raises(SystemExit) as ei:
+        cli.run(["selftest", option, value])
+    assert ei.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {option}: must be at least 1, got {value}" in err
+    assert "Traceback" not in err
+
+
 def test_determinism_byte_identical(capsys):
     outs = set()
     for _ in range(3):

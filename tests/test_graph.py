@@ -189,22 +189,23 @@ def _check_condensation(g):
                     todo.append(b.target)
         reach[v] = seen
     cond = condense(g)
+    assert cond._fields == ("scc_of", "masks", "dag", "internal")
+    assert len(g.reach_masks()) == len(cond.masks)
     for i, v in enumerate(vs):
         c = cond.scc_of[i]
-        assert cond.masks[c] >> i & 1
-        assert set(cond.sccs[c]) == {w for w in vs if w in reach[v] and v in reach[w]}
+        scc = set(g.set_of(cond.masks[c]))
+        assert scc == {w for w in vs if w in reach[v] and v in reach[w]}
+        assert g.set_of(g.reach_masks()[c]) == tuple(sorted(reach[v]))
         loop = any(b.source == b.target == v for b in g.bundles)
-        assert cond.trivial[c] == (len(cond.sccs[c]) == 1 and not loop)
+        assert (cond.internal[c] == 0) == (len(scc) == 1 and not loop)
         assert cond.internal[c] == sum(
             math.inf if b.mult is OMEGA else b.mult for b in g.bundles
-            if b.source in cond.sccs[c] and b.target in cond.sccs[c]
+            if b.source in scc and b.target in scc
         )
-        assert cond.trivial[c] == (cond.internal[c] == 0)
         assert cond.dag[c] == tuple(sorted({
             cond.scc_of[vs.index(b.target)] for b in g.bundles
-            if b.source in cond.sccs[c] and b.target not in cond.sccs[c]
+            if b.source in scc and b.target not in scc
         }))
-        assert cond.terminal[c] == (not cond.dag[c])
 
 
 def test_graph_memory_is_linear_on_a_fan_in():
@@ -244,27 +245,27 @@ def test_reach_masks_long_cycle():
         f"edge e{i} v{i} v{(i + 1) % n}\n" for i in range(n)
     )
     g = parse_graph(text)
-    assert g.reach_masks() == [(1 << n) - 1] * n
+    assert g.reach_masks() == [(1 << n) - 1]
+    assert g.tree_mask(1 << (n - 1)) == (1 << n) - 1
 
 
 def test_condensation_terminal_and_trivial():
     g = fixture_graph("six")
     cond = condense(g)
-    by_min = {min(scc): i for i, scc in enumerate(cond.sccs)}
-    assert cond.trivial[by_min["v1"]]
-    assert not cond.trivial[by_min["v3"]]
-    assert cond.terminal[by_min["v3"]]
-    assert not cond.terminal[by_min["v2"]]
-    nt = cond.non_trivial_terminal()
-    assert sorted(min(cond.sccs[i]) for i in nt) == ["v3", "w1", "w2"]
+    by_min = {g.set_of(m)[0]: i for i, m in enumerate(cond.masks)}
+    assert not cond.internal[by_min["v1"]]
+    assert cond.internal[by_min["v3"]]
+    assert not cond.dag[by_min["v3"]]
+    assert cond.dag[by_min["v2"]]
+    nt = [c for c, d in enumerate(cond.dag) if not d and cond.internal[c]]
+    assert sorted(g.set_of(cond.masks[c])[0] for c in nt) == ["v3", "w1", "w2"]
 
 
 def test_condensation_self_loop_not_trivial():
     g = parse_graph("vertices v w\nedge e v v\nedge f v w\n")
     cond = condense(g)
-    by_min = {min(scc): i for i, scc in enumerate(cond.sccs)}
-    assert not cond.trivial[by_min["v"]]
-    assert cond.trivial[by_min["w"]]
+    assert cond.internal[cond.scc_of[g.index("v")]] == 1
+    assert cond.internal[cond.scc_of[g.index("w")]] == 0
 
 
 def test_dot_output_shape():

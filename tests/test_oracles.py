@@ -50,7 +50,7 @@ from leavittpath.oracles import (
     simple_cycles,
     sccs_oracle,
 )
-from leavittpath.random_graphs import _graph_from_code
+from leavittpath.random_graphs import _graph_from_code, random_graphs
 
 from conftest import fixture_graph
 
@@ -201,17 +201,39 @@ def _omega_sweep_codes():
         yield 3, tuple(rng.choice(mults) for _ in range(9))
 
 
+def _check_tree_and_reaching(g, reach, masks):
+    """g.tree_mask and g.reaching against the sets read off reach_sets."""
+    for mask in masks:
+        xs = set(g.set_of(mask))
+        tree = set().union(*(reach[x] for x in xs))
+        assert g.set_of(g.tree_mask(mask)) == tuple(sorted(tree)), to_text(g)
+        assert g.set_of(g.reaching(mask)) == tuple(
+            v for v in g.vertices if reach[v] & xs
+        ), to_text(g)
+
+
+def test_tree_mask_and_reaching_match_reach_sets():
+    rng = random.Random(8)
+    for g in random_graphs(300, 1905, max_vertices=8):
+        n = len(g.vertices)
+        singles = [1 << i for i in range(n)]
+        randoms = [rng.getrandbits(n) for _ in range(8)]
+        _check_tree_and_reaching(g, reach_sets(g), singles + randoms)
+
+
 def test_csp_and_cycle_sets_match_oracles_with_omega():
     for n, code in _omega_sweep_codes():
         g = _graph_from_code(n, code)
         reach = reach_sets(g)
+        # every subset of the at most 3 vertices, single vertices included
+        _check_tree_and_reaching(g, reach, range(1 << n))
         for v in g.vertices:
             assert csp_class(g, v) == csp_class_oracle(g, v), to_text(g)
             assert reachable(g, (v,)) == tuple(sorted(reach[v])), to_text(g)
             assert hs_closure(g, {v}).members == tuple(
                 sorted(hs_closure_oracle(g, {v}))
             ), to_text(g)
-        sccs = tuple(frozenset(c) for c in condense(g).sccs)
+        sccs = tuple(frozenset(g.set_of(m)) for m in condense(g).masks)
         assert sccs == sccs_oracle(g), to_text(g)
         assert cycles_without_exits(g) == cycles_without_exits_oracle(g), to_text(g)
         assert extreme_cycles(g) == extreme_cycles_oracle(g), to_text(g)

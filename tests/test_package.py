@@ -1,6 +1,9 @@
 """The package surface: what a fresh import loads, the public names, the
 value classes' semantics and the README's library example."""
 
+import ast
+import importlib
+import inspect
 import json
 import os
 import pickle
@@ -102,6 +105,28 @@ def test_src_does_not_use_dataclasses():
     assert hits == []
 
 
+def _tracer_required_names():
+    """The REQUIRED tuple of lpabench/tracing.py, read without importing it."""
+    tree = ast.parse((ROOT / "lpabench" / "tracing.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["REQUIRED"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("lpabench/tracing.py defines no REQUIRED tuple")
+
+
+@pytest.mark.parametrize("name", _tracer_required_names())
+def test_tracer_required_name_resolves(name):
+    # a traced benchmark run reads its per-layer metrics off these functions,
+    # defined where the name says, and counts a missing one as absent
+    module, *attrs = name.split(".")
+    owner = importlib.import_module(f"leavittpath.{module}")
+    for attr in attrs[:-1]:
+        owner = getattr(owner, attr)
+    fn = vars(owner).get(attrs[-1])
+    assert inspect.isfunction(fn), name
+    assert fn.__module__ == f"leavittpath.{module}", name
+
+
 # -- value classes -------------------------------------------------------------
 
 
@@ -111,7 +136,7 @@ def _values():
     report = largest_ideals_report(g)
     return [
         ("EdgeBundle", g.bundles[0], "mult"),
-        ("Condensation", condense(g), "sccs"),
+        ("Condensation", condense(g), "masks"),
         ("DensityResult", density_check(g, ("h", "x")), "dense"),
         ("Classification", classify(g), "p_ppi"),
         ("GradedIdealDescriptor", ideal_descriptor(g, ("h",), ("u",)), "H"),

@@ -192,6 +192,22 @@ def test_elements_of_different_graphs_do_not_mix():
         _ = a + b
 
 
+def test_element_hash_never_hashes_the_graph(monkeypatch):
+    text = "vertices v w\nedge e v w\nedge f v v\n"
+    g, h = parse_graph(text), parse_graph(text)
+    assert g is not h
+    a = parse_element(g, "2 f f* + e")
+    b = parse_element(h, "e + 2 f f*")
+
+    def refuse(self):
+        raise AssertionError("Graph.__hash__ called")
+
+    monkeypatch.setattr(type(g), "__hash__", refuse)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b, V(g, "w")}) == 2
+
+
 # -- exact coefficients: ints first, Fractions only on real denominators ------
 
 
