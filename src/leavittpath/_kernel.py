@@ -44,13 +44,14 @@ def reach_masks(comp_masks: list[int], dag) -> list[int]:
     return reach
 
 
-def scc_labels(succ) -> list[int]:
+def scc_labels(succ) -> tuple[list[int], list[int]]:
     """Strongly connected components of an adjacency list.
 
     ``succ[v]`` lists the vertices v has an edge into.  Iterative Tarjan.
     Components are renumbered so that label order follows the smallest
     member vertex index: the component containing the overall smallest
-    unassigned vertex gets the smallest label, and so on.
+    unassigned vertex gets the smallest label, and so on.  Returns the
+    label of each vertex and the vertex mask of each label.
     """
     n = len(succ)
     UNSEEN = -1
@@ -100,7 +101,19 @@ def scc_labels(succ) -> list[int]:
     for lab, comp in enumerate(comps):
         for v in comp:
             labels[v] = lab
-    return labels
+    return labels, list(map(_members_mask, comps))
+
+
+def _members_mask(members: list[int]) -> int:
+    """The mask of the vertex indices ``members``, built in one conversion:
+    one ``|=`` per member would copy the growing int each time."""
+    if len(members) == 1:
+        return 1 << members[0]
+    lo, hi = min(members), max(members)
+    digits = bytearray(b"0") * (hi - lo + 1)
+    for i in members:
+        digits[hi - i] = 49  # ord("1"); the highest index is the first digit
+    return int(digits, 2) << lo
 
 
 def saturation_step(mask: int, regular) -> int:

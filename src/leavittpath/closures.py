@@ -123,31 +123,31 @@ def saturate_once(g: Graph, X) -> tuple[str, ...]:
     return g.set_of(mask | _kernel.saturation_step(mask, _regular_targets(g)))
 
 
+def closure_mask(g: Graph, seed: int) -> tuple[int, int]:
+    """Smallest hereditary saturated superset of the set ``seed``, as a mask.
+
+    Tree step once, then simultaneous saturation passes to a fixpoint.
+    Returns the closure and the number of passes that grew it; raises
+    ``InvariantViolation`` unless the result is hereditary and saturated.
+    """
+    regular = _regular_targets(g)
+    mask, rounds = _kernel.saturation_fixpoint(g.tree_mask(seed), regular)
+    if g.tree_mask(mask) != mask or _kernel.saturation_step(mask, regular):
+        raise InvariantViolation(
+            f"closure of {list(g.set_of(seed))} is not hereditary+saturated: "
+            f"{g.set_of(mask)}",
+            graph_text=to_text(g),
+        )
+    return mask, rounds
+
+
 def hs_closure(g: Graph, X) -> HereditarySet:
     """Smallest hereditary saturated superset of X.
 
-    Tree step once, then simultaneous saturation passes to a fixpoint;
-    ``rounds`` on the result counts the passes that grew the set.
+    ``rounds`` on the result counts the saturation passes that grew the set.
     """
-    seed = tuple(X)
-    regular = _regular_targets(g)
-    mask, rounds = _kernel.saturation_fixpoint(
-        g.tree_mask(g.mask_of(seed)), regular
-    )
-    members = g.set_of(mask)
-    result = HereditarySet(
-        members,
-        g.tree_mask(mask) == mask,
-        not _kernel.saturation_step(mask, regular),
-        rounds=rounds,
-    )
-    if not (result.is_hereditary and result.is_saturated):
-        raise InvariantViolation(
-            f"closure of {sorted(set(seed))} is not hereditary+saturated: "
-            f"{members}",
-            graph_text=to_text(g),
-        )
-    return result
+    mask, rounds = closure_mask(g, g.mask_of(X))
+    return HereditarySet(g.set_of(mask), True, True, rounds=rounds)
 
 
 def breaking_vertices(g: Graph, H) -> BreakingSet:

@@ -366,13 +366,11 @@ def condense(g: Graph) -> Condensation:
     up.
     """
     succ = g.successors
-    labels = _kernel.scc_labels(succ)
-    ncomp = max(labels) + 1 if labels else 0
-    masks = [0] * ncomp
+    labels, masks = _kernel.scc_labels(succ)
+    ncomp = len(masks)
     internal = [0] * ncomp
     dag_sets: list[set[int]] = [set() for _ in range(ncomp)]
-    for i, (c, ts, out) in enumerate(zip(labels, succ, g.out_table)):
-        masks[c] |= 1 << i
+    for c, ts, out in zip(labels, succ, g.out_table):
         comps = list(map(labels.__getitem__, ts))
         dag_sets[c].update(comps)
         # the edges back into c are the component's internal edges

@@ -3,16 +3,35 @@
 Everything here recomputes from first principles — plain BFS over
 ``g.targets`` and explicit enumeration — and deliberately avoids the bitmask
 kernels, the closure engine and the classifiers, so that agreement between
-the two routes is meaningful evidence rather than a tautology.
+the two routes is meaningful evidence rather than a tautology.  The
+per-graph answers every check reads (reach sets, simple cycles, CSP walk
+verdicts) are computed once in the graph's memo and returned read-only.
 """
 
 from __future__ import annotations
 
-from .graph import OMEGA, Graph
+from .graph import OMEGA, Graph, per_graph
 
 
+class _FrozenDict(dict):
+    """A dict that refuses changes, so a memoized answer stays as computed."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"'{type(self).__name__}' object is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
+@per_graph
 def reach_sets(g: Graph) -> dict:
-    """{v: set of vertices reachable from v} via breadth-first search."""
+    """{v: set of vertices reachable from v} via breadth-first search
+    (memoized, read-only)."""
     out = {}
     for v in g.vertices:
         seen = {v}
@@ -24,27 +43,26 @@ def reach_sets(g: Graph) -> dict:
                     seen.add(t)
                     stack.append(t)
         out[v] = frozenset(seen)
-    return out
+    return _FrozenDict(out)
 
 
-def _out_pairs(g: Graph, u: str, cap: int = 2):
-    """(target, instance-token) pairs with multiplicities capped at ``cap``.
+def _out_targets(g: Graph, u: str, cap: int = 2) -> list:
+    """u's edge targets, one per edge, with multiplicities capped at ``cap``.
 
     Capping is harmless for counting closed simple paths into {0, 1, 2+}:
     a path through a third parallel edge always has a sibling through the
     first two, and a unique closed simple path cannot touch a multiplicity
     ≥ 2 bundle at all (swapping the instance would contradict uniqueness).
     """
-    pairs = []
+    targets = []
     for b in g.out_bundles(u):
-        k = cap if b.mult is OMEGA else min(cap, b.mult)
-        for i in range(k):
-            pairs.append((b.target, (b.id, i)))
-    return pairs
+        targets += [b.target] * (cap if b.mult is OMEGA else min(cap, b.mult))
+    return targets
 
 
-def csp_class_oracle(g: Graph, v: str) -> str:
-    """|CSP(v)| as Zero/One/TwoPlus by bounded walk enumeration.
+@per_graph
+def _csp_verdicts(g: Graph) -> dict:
+    """{v: |CSP(v)| as Zero/One/TwoPlus}, by bounded walk enumeration.
 
     Walks start and end at v, never revisit v internally, and visit each
     internal vertex at most twice.  The bound loses nothing: a unique closed
@@ -54,27 +72,35 @@ def csp_class_oracle(g: Graph, v: str) -> str:
     internally-simple one).
     """
     reach = reach_sets(g)
-    visits = {u: 0 for u in g.vertices}
-    count = 0
+    out = {u: _out_targets(g, u) for u in g.vertices}
+    verdicts = {}
+    for v in g.vertices:
+        visits = dict.fromkeys(g.vertices, 0)
+        count = 0
 
-    def extend(u: str) -> None:
-        nonlocal count
-        for t, _inst in _out_pairs(g, u):
-            if count >= 2:
-                return
-            if t == v:
-                count += 1
-                continue
-            if visits[t] >= 2 or v not in reach[t]:
-                continue
-            visits[t] += 1
-            extend(t)
-            visits[t] -= 1
+        def extend(u: str) -> None:
+            nonlocal count
+            for t in out[u]:
+                if count >= 2:
+                    return
+                if t == v:
+                    count += 1
+                    continue
+                if visits[t] >= 2 or v not in reach[t]:
+                    continue
+                visits[t] += 1
+                extend(t)
+                visits[t] -= 1
 
-    extend(v)
-    if count == 0:
-        return "Zero"
-    return "One" if count == 1 else "TwoPlus"
+        extend(v)
+        verdicts[v] = ("Zero", "One", "TwoPlus")[count]
+    return _FrozenDict(verdicts)
+
+
+def csp_class_oracle(g: Graph, v: str) -> str:
+    """|CSP(v)| as Zero/One/TwoPlus, read off the graph's walk verdicts."""
+    g.index(v)  # an unknown id raises here, as in every accessor
+    return _csp_verdicts(g)[v]
 
 
 def hs_closure_oracle(g: Graph, X) -> frozenset:
@@ -97,8 +123,10 @@ def hs_closure_oracle(g: Graph, X) -> frozenset:
     return frozenset(s)
 
 
+@per_graph
 def simple_cycles(g: Graph) -> tuple:
-    """All vertex-simple cycles, each once, rooted at its smallest vertex."""
+    """All vertex-simple cycles, each once, rooted at its smallest vertex
+    (memoized)."""
     order = {v: i for i, v in enumerate(g.vertices)}
     adj = {v: sorted(set(g.targets(v))) for v in g.vertices}
     found = []
@@ -179,7 +207,8 @@ def properly_infinite_subsets_oracle(g: Graph) -> tuple:
     """P_pi by the raw existential: some subset of TwoPlus tree vertices
     whose closure recaptures v.  Exponential; callers keep graphs small."""
     reach = reach_sets(g)
-    two = [u for u in g.vertices if csp_class_oracle(g, u) == "TwoPlus"]
+    verdicts = _csp_verdicts(g)
+    two = [u for u in g.vertices if verdicts[u] == "TwoPlus"]
     out = []
     for v in g.vertices:
         pool = [w for w in two if w in reach[v]]
@@ -288,7 +317,8 @@ def breaking_capable_oracle(g: Graph) -> tuple:
 def p_K_oracle(g: Graph) -> tuple:
     """P_(K): the vertices v with no w ∈ T(v) of class One."""
     reach = reach_sets(g)
-    one = {u for u in g.vertices if csp_class_oracle(g, u) == "One"}
+    verdicts = _csp_verdicts(g)
+    one = {u for u in g.vertices if verdicts[u] == "One"}
     return tuple(sorted(v for v in g.vertices if not reach[v] & one))
 
 

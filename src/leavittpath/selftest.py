@@ -9,6 +9,7 @@ reproducer graph to stderr and exits with status 3.
 from __future__ import annotations
 
 import sys
+import time
 
 from .classify import (
     b_infinity,
@@ -19,9 +20,9 @@ from .classify import (
     line_points,
     properly_infinite,
 )
-from .closures import breaking_capable, hs_closure
+from .closures import breaking_capable, closure_mask, hs_closure
 from .errors import InvariantViolation
-from .graph import Graph, to_text
+from .graph import Graph, condense, to_text
 from .ideals import largest_ideals_report, pi_decomposition
 from .oracles import (
     b_infinity_oracle,
@@ -34,6 +35,10 @@ from .oracles import (
     properly_infinite_subsets_oracle,
 )
 from .random_graphs import enumerate_graphs, random_graphs
+
+
+# exhaustive-sweep graphs between two progress lines on stderr
+PROGRESS_EVERY = 1_000_000
 
 
 class _Mismatch(Exception):
@@ -60,12 +65,26 @@ def check_maximality(g: Graph) -> None:
     """The closure of P_ppi plus any vertex from outside holds a vertex that
     is not properly infinite or is breaking-capable, so no larger set
     qualifies.  (``classify`` has already certified P_ppi itself as
-    hereditary and saturated.)"""
+    hereditary and saturated.)
+
+    The closure of P_ppi ∪ {v} starts from the tree of P_ppi ∪ T(v), which
+    every vertex of one SCC shares, so each distinct P_ppi ∪ T(v) is closed
+    and judged once, at its first vertex in sorted order: the first vertex
+    to fail is the one a closure per vertex would name.
+    """
     c = classify(g)
+    ppi = g.mask_of(c.p_ppi)
     spoilers = ~g.mask_of(c.p_pi) | g.mask_of(breaking_capable(g))
-    for v in g.set_of(~g.mask_of(c.p_ppi)):
-        if not g.mask_of(hs_closure(g, c.p_ppi + (v,))) & spoilers:
+    reach, scc_of = g.reach_masks(), condense(g).scc_of
+    passed = set()
+    for v in g.set_of(~ppi):
+        i = g.index(v)
+        tree = ppi | reach[scc_of[i]]
+        if tree in passed:
+            continue
+        if not closure_mask(g, ppi | 1 << i)[0] & spoilers:
             _fail(f"closure of P_ppi plus '{v}' is still purely infinite")
+        passed.add(tree)
 
 
 def check_oracles(g: Graph) -> None:
@@ -129,13 +148,21 @@ def _dump_reproducer(g: Graph, context: str, detail: str) -> None:
     print("--- end reproducer ---", file=sys.stderr)
 
 
+def _rate(count: int, start: float) -> str:
+    """Elapsed seconds since ``start`` and graphs per second."""
+    elapsed = time.perf_counter() - start
+    return f"{elapsed:.2f} s, {count / max(elapsed, 1e-9):.0f} graphs/s"
+
+
 def run_selftest(
     cases: int = 300,
     max_vertices: int = 8,
     seed: int = 7,
     exhaustive_n4: bool = False,
 ) -> int:
+    """Run the suites, print the verdicts to stdout and the rates to stderr."""
     checked = 0
+    start = time.perf_counter()
     for i, g in enumerate(random_graphs(cases, seed, max_vertices=max_vertices)):
         try:
             check_graph(g)
@@ -148,16 +175,22 @@ def run_selftest(
         checked += 1
     print(f"selftest: {checked} random graphs (max {max_vertices} vertices, "
           f"seed {seed}) passed all property checks")
+    print(f"  ... {checked} random graphs checked ({_rate(checked, start)})",
+          file=sys.stderr)
     if exhaustive_n4:
         swept = 0
+        start = time.perf_counter()
         try:
             for g in enumerate_graphs(4, max_mult=2):
                 check_oracles(g)
                 swept += 1
-                if swept % 1_000_000 == 0:
-                    print(f"  ... {swept} graphs swept", file=sys.stderr)
+                if swept % PROGRESS_EVERY == 0:
+                    print(f"  ... {swept} graphs swept ({_rate(swept, start)})",
+                          file=sys.stderr)
         except (_Mismatch, InvariantViolation) as exc:
             _dump_reproducer(g, f"exhaustive n=4 graph {swept}", str(exc))
             return 3
         print(f"selftest: exhaustive 4-vertex sweep passed ({swept} graphs)")
+        print(f"  ... {swept} graphs swept ({_rate(swept, start)})",
+              file=sys.stderr)
     return 0

@@ -4,7 +4,7 @@ Run with plain ``pytest tests/test_acceptance.py``; the ACCEPTANCE lines
 are printed straight to the terminal, bypassing capture, so the verdicts
 are visible in any mode.  Criterion 5 is exhaustive up to 3 vertices plus
 a large stratified 4-vertex sample.  The full 4-vertex sweep (43M graphs
-at about 0.52 ms each, so about 6 h) runs the same oracle checks through
+at about 0.47 ms each, so about 5.6 h) runs the same oracle checks through
 ``lpa selftest --exhaustive-n4``.
 """
 

@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -318,10 +319,22 @@ def test_selftest_exhaustive_n4_sweeps_enumerated_graphs(capsys, monkeypatch):
         return itertools.islice(enumerate_graphs(n, max_mult=max_mult), 40)
 
     monkeypatch.setattr(selftest, "enumerate_graphs", first_graphs)
-    code, out, _ = run_cli(capsys, "selftest", "--cases", "1", "--exhaustive-n4")
+    monkeypatch.setattr(selftest, "PROGRESS_EVERY", 15)
+    code, out, err = run_cli(capsys, "selftest", "--cases", "1", "--exhaustive-n4")
     assert code == 0
     assert calls == [(4, 2)]
-    assert "exhaustive 4-vertex sweep passed (40 graphs)" in out
+    # the verdicts go to stdout, the progress and rates to stderr
+    assert out.splitlines() == [
+        "selftest: 1 random graphs (max 8 vertices, seed 7) passed all "
+        "property checks",
+        "selftest: exhaustive 4-vertex sweep passed (40 graphs)",
+    ]
+    rate = r" \(\d+\.\d\d s, \d+ graphs/s\)"
+    lines = err.splitlines()
+    assert len(lines) == 4
+    assert re.fullmatch(r"  \.\.\. 1 random graphs checked" + rate, lines[0])
+    for line, swept in zip(lines[1:], (15, 30, 40)):
+        assert re.fullmatch(rf"  \.\.\. {swept} graphs swept" + rate, line)
 
 
 @pytest.mark.parametrize("option,value", [

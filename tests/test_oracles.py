@@ -7,6 +7,7 @@ covers multiplicity ω, which the exhaustive sweeps elsewhere leave out.
 """
 
 import itertools
+import pickle
 import random
 
 import pytest
@@ -51,6 +52,7 @@ from leavittpath.oracles import (
     sccs_oracle,
 )
 from leavittpath.random_graphs import _graph_from_code, random_graphs
+from leavittpath.selftest import check_oracles
 
 from conftest import fixture_graph
 
@@ -188,6 +190,56 @@ def test_hereditary_saturated_sets_size_guard():
     )
     with pytest.raises(ValueError):
         hereditary_saturated_sets(g)
+
+
+def test_memoized_oracle_answers_are_read_only():
+    g = fixture_graph("six")
+    reach, cycles = reach_sets(g), simple_cycles(g)
+    before = dict(reach)
+    v = g.vertices[0]
+    for mutate in (
+        lambda: reach.__setitem__(v, frozenset()),
+        lambda: reach.__delitem__(v),
+        lambda: reach.update({v: frozenset()}),
+        lambda: reach.setdefault("new", frozenset()),
+        lambda: reach.pop(v),
+        lambda: reach.popitem(),
+        lambda: reach.clear(),
+    ):
+        with pytest.raises(TypeError):
+            mutate()
+    alias = reach
+    with pytest.raises(TypeError):
+        alias |= {v: frozenset()}
+    assert isinstance(cycles, tuple)
+    assert all(isinstance(c, tuple) for c in cycles)
+    assert all(isinstance(s, frozenset) for s in reach.values())
+    assert reach_sets(g) is reach and reach == before
+    assert simple_cycles(g) is cycles
+
+
+def test_memoized_oracles_match_a_fresh_computation():
+    for g in random_graphs(150, 2718, max_vertices=6):
+        check_oracles(g)
+        fresh = parse_graph(to_text(g))
+        assert fresh == g and not fresh._memo
+        assert reach_sets(g) is reach_sets(g)
+        assert reach_sets(g) == reach_sets(fresh), to_text(g)
+        assert simple_cycles(g) == simple_cycles(fresh), to_text(g)
+        assert [csp_class_oracle(g, v) for v in g.vertices] == [
+            csp_class_oracle(fresh, v) for v in g.vertices
+        ], to_text(g)
+
+
+def test_graph_pickles_with_its_oracle_memo():
+    g = fixture_graph("six")
+    check_oracles(g)
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g and copy._memo == g._memo
+    assert type(reach_sets(copy)) is type(reach_sets(g))
+    with pytest.raises(TypeError):
+        reach_sets(copy)[g.vertices[0]] = frozenset()
+    assert copy._memo.keys() == g._memo.keys()  # answered from the memo
 
 
 def _omega_sweep_codes():

@@ -35,14 +35,17 @@ from conftest import FIXTURE_NAMES, ROOT, fixture_graph
 
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(leavittpath.__file__))
 
-# modules that only `eval` and `hedgehog` need, and what pulls in slow
-# standard-library imports at start-up
+# modules that only `eval`, `hedgehog` and `selftest` need, and what pulls in
+# slow standard-library imports at start-up
 NOT_LOADED_BY_CLI = (
     "dataclasses",
     "inspect",
     "fractions",
     "leavittpath.terms",
     "leavittpath.hedgehog",
+    "leavittpath.selftest",
+    "leavittpath.oracles",
+    "leavittpath.random_graphs",
 )
 
 
