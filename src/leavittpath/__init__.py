@@ -14,18 +14,9 @@ the submodule ``classify`` lazily would rebind the package attribute
 
 from .classify import (
     Classification,
-    b_infinity,
     classify,
-    condition_K,
-    condition_L,
     csp_class,
     csp_classes,
-    cycles_without_exits,
-    extreme_cycles,
-    line_points,
-    p_K,
-    p_ex,
-    p_ppi,
     properly_infinite,
 )
 from .closures import (
@@ -129,20 +120,15 @@ __all__ = [
     "LargestIdealsReport",
     "LpaError",
     "Monomial",
-    "b_infinity",
     "breaking_capable",
     "breaking_vertices",
     "build_hedgehog",
     "classify",
     "condense",
-    "condition_K",
-    "condition_L",
     "csp_class",
     "csp_classes",
-    "cycles_without_exits",
     "density_check",
     "descriptor_leq",
-    "extreme_cycles",
     "format_element",
     "graded_components",
     "graph_digest",
@@ -153,10 +139,6 @@ __all__ = [
     "is_purely_infinite_ideal",
     "is_saturated",
     "largest_ideals_report",
-    "line_points",
-    "p_K",
-    "p_ex",
-    "p_ppi",
     "parse_element",
     "parse_graph",
     "pi_decomposition",

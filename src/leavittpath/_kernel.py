@@ -9,49 +9,32 @@ input.
 from __future__ import annotations
 
 
-def reach_masks(comp_masks: list[int], dag) -> list[int]:
-    """Reach masks of the components of a condensation DAG.
+def reach_masks(values: list[int], dag, order) -> list[int]:
+    """Per component of a condensation DAG, the OR of ``values`` over every
+    component it reaches, itself included.
 
-    ``comp_masks[c]`` is the vertex mask of component c and ``dag[c]`` lists
-    the components c has an edge into.  Returns, per component, the union of
-    the masks of every component reachable from it, itself included.
-
-    One iterative depth-first pass: a component's reach is final when it
-    leaves the stack (its successors all left before it, as the DAG has no
-    cycles), and it is then ORed into its parent's.  Each DAG edge is read
-    once.
+    ``dag[c]`` lists the components c has an edge into, and ``order`` lists
+    every component after all of those (the finishing order of
+    ``scc_labels``), so each successor's reach is final when it is read.
+    Each DAG edge is read once.
     """
-    reach = list(comp_masks)
-    seen = [False] * len(dag)
-    for root in range(len(dag)):
-        if seen[root]:
-            continue
-        seen[root] = True
-        stack = [(root, iter(dag[root]))]
-        while stack:
-            c, succ = stack[-1]
-            for d in succ:
-                if seen[d]:
-                    reach[c] |= reach[d]
-                else:
-                    seen[d] = True
-                    stack.append((d, iter(dag[d])))
-                    break
-            else:
-                stack.pop()
-                if stack:
-                    reach[stack[-1][0]] |= reach[c]
+    reach = list(values)
+    for c in order:
+        for d in dag[c]:
+            reach[c] |= reach[d]
     return reach
 
 
-def scc_labels(succ) -> tuple[list[int], list[int]]:
+def scc_labels(succ) -> tuple[list[int], list[int], list[int]]:
     """Strongly connected components of an adjacency list.
 
     ``succ[v]`` lists the vertices v has an edge into.  Iterative Tarjan.
     Components are renumbered so that label order follows the smallest
     member vertex index: the component containing the overall smallest
     unassigned vertex gets the smallest label, and so on.  Returns the
-    label of each vertex and the vertex mask of each label.
+    label of each vertex, the vertex mask of each label, and the labels in
+    the order Tarjan finished them, in which every component comes after
+    each component it has an edge into.
     """
     n = len(succ)
     UNSEEN = -1
@@ -96,12 +79,15 @@ def scc_labels(succ) -> tuple[list[int], list[int]]:
                     u = work[-1][0]
                     if low[v] < low[u]:
                         low[u] = low[v]
-    comps.sort(key=min)
+    # by_min[lab] is the finishing position of the component labelled lab
+    by_min = sorted(range(len(comps)), key=lambda k: min(comps[k]))
     labels = [0] * n
-    for lab, comp in enumerate(comps):
-        for v in comp:
+    order = [0] * len(comps)
+    for lab, k in enumerate(by_min):
+        order[k] = lab
+        for v in comps[k]:
             labels[v] = lab
-    return labels, list(map(_members_mask, comps))
+    return labels, [_members_mask(comps[k]) for k in by_min], order
 
 
 def _members_mask(members: list[int]) -> int:

@@ -1,7 +1,8 @@
 """Vertex-set classifiers.
 
-Closed-simple-path classes, line points (P_l), cycles without exits (P_c),
-extreme cycles (P_ec), P_b∞, properly infinite vertices (P_pi), P_ppi, the
+Closed-simple-path classes (``csp_class``), and one ``classify(g)`` whose
+fields are the line points (P_l), cycles without exits (P_c), extreme
+cycles (P_ec), P_b∞, properly infinite vertices (P_pi), P_ppi, the
 P_ec′ / P_pec / P′ split, Conditions (K)/(L), P_(K), and P_ex.
 
 A closed simple path based at v is a closed path that visits v exactly once
@@ -65,26 +66,6 @@ def csp_classes(g: Graph) -> dict:
     return dict(zip(g.vertices, map(classes.__getitem__, condense(g).scc_of)))
 
 
-def line_points(g: Graph) -> tuple[str, ...]:
-    """Vertices whose tree contains no bifurcation and no cycle (P_l)."""
-    return classify(g).p_l
-
-
-def cycles_without_exits(g: Graph) -> tuple[str, ...]:
-    """Vertices on cycles without exits (P_c): terminal SCCs of class One."""
-    return classify(g).p_c
-
-
-def extreme_cycles(g: Graph) -> tuple[str, ...]:
-    """Vertices of extreme cycles (P_ec): terminal SCCs of class TwoPlus."""
-    return classify(g).p_ec
-
-
-def b_infinity(g: Graph) -> tuple[str, ...]:
-    """Vertices whose tree contains an infinite emitter (P_b∞)."""
-    return classify(g).p_binf
-
-
 def properly_infinite(g: Graph) -> tuple[str, ...]:
     """Properly infinite vertices: v lies in the closure of its TwoPlus tree.
 
@@ -109,31 +90,6 @@ def properly_infinite(g: Graph) -> tuple[str, ...]:
         if not tree & bad & ~h:
             found |= m
     return g.set_of(found)
-
-
-def p_ppi(g: Graph) -> tuple[str, ...]:
-    """Vertices with a properly infinite, breaking-vertex-free tree (P_ppi)."""
-    return classify(g).p_ppi
-
-
-def condition_K(g: Graph) -> bool:
-    """No vertex is the base of exactly one closed simple path."""
-    return classify(g).condition_K
-
-
-def condition_L(g: Graph) -> bool:
-    """Every cycle has an exit."""
-    return classify(g).condition_L
-
-
-def p_K(g: Graph) -> tuple[str, ...]:
-    """Vertices whose whole tree is free of One-class vertices (P_(K))."""
-    return classify(g).p_K
-
-
-def p_ex(g: Graph) -> tuple[str, ...]:
-    """Generators of the largest exchange ideal: P_(K) ∪ B_{P_(K)}."""
-    return classify(g).p_ex
 
 
 class Classification(

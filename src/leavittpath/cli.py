@@ -245,45 +245,6 @@ def cmd_selftest(args) -> int:
     )
 
 
-def _file_args(p) -> None:
-    p.add_argument("file")
-    p.add_argument("--pretty", action="store_true")
-
-
-def _closure_args(p) -> None:
-    p.add_argument("file")
-    p.add_argument("--seed", default="", help="comma-separated vertex ids")
-    p.add_argument("--pretty", action="store_true")
-
-
-def _hedgehog_args(p) -> None:
-    p.add_argument("file")
-    p.add_argument("--H", default="", help="comma-separated hereditary set")
-    p.add_argument("--S", default="", help="comma-separated breaking vertices")
-    p.add_argument("--depth", type=int, default=6, help="path truncation depth")
-    p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
-    p.add_argument("--pretty", action="store_true")
-
-
-def _report_args(p) -> None:
-    p.add_argument("file")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--json", action="store_true", help="compact JSON (default)")
-    group.add_argument("--pretty", action="store_true", help="indented JSON")
-
-
-def _eval_args(p) -> None:
-    p.add_argument("file")
-    p.add_argument("--expr", required=True)
-    p.add_argument("--graded", action="store_true", help="split output by degree")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--pretty", action="store_true")
-
-
-def _dot_args(p) -> None:
-    p.add_argument("file")
-
-
 def _positive_int(text: str) -> int:
     """An int of at least 1; anything else is a usage error (exit 2)."""
     try:
@@ -295,7 +256,56 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _selftest_args(p) -> None:
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="lpa",
+        description="Path-algebra analysis of directed graphs with ω-bundles",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, fn, help_line):
+        p = sub.add_parser(name, help=help_line)
+        p.set_defaults(func=fn)
+        return p
+
+    p = add("validate", cmd_validate, "parse a graph file and echo its contents")
+    p.add_argument("file")
+    p.add_argument("--pretty", action="store_true")
+
+    p = add("classify", cmd_classify, "compute all vertex classifications")
+    p.add_argument("file")
+    p.add_argument("--pretty", action="store_true")
+
+    p = add("closure", cmd_closure, "hereditary saturated closure of a seed set")
+    p.add_argument("file")
+    p.add_argument("--seed", default="", help="comma-separated vertex ids")
+    p.add_argument("--pretty", action="store_true")
+
+    p = add("hedgehog", cmd_hedgehog, "build the hedgehog graph of (H, S)")
+    p.add_argument("file")
+    p.add_argument("--H", default="", help="comma-separated hereditary set")
+    p.add_argument("--S", default="", help="comma-separated breaking vertices")
+    p.add_argument("--depth", type=int, default=6, help="path truncation depth")
+    p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
+    p.add_argument("--pretty", action="store_true")
+
+    p = add("report", cmd_report, "largest-ideal generating sets and classes")
+    p.add_argument("file")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--json", action="store_true", help="compact JSON (default)")
+    group.add_argument("--pretty", action="store_true", help="indented JSON")
+
+    p = add("eval", cmd_eval, "evaluate an algebra expression")
+    p.add_argument("file")
+    p.add_argument("--expr", required=True)
+    p.add_argument("--graded", action="store_true", help="split output by degree")
+    p.add_argument("--json", action="store_true")
+    p.add_argument("--pretty", action="store_true")
+
+    p = add("dot", cmd_dot, "export the graph in DOT format")
+    p.add_argument("file")
+
+    p = add("selftest", cmd_selftest, "run the randomized property suites")
     p.add_argument("--cases", type=_positive_int, default=300)
     p.add_argument("--max-vertices", type=_positive_int, default=8)
     p.add_argument("--seed", type=int, default=7)
@@ -305,57 +315,11 @@ def _selftest_args(p) -> None:
         help="also sweep every 4-vertex multiplicity-2 graph (slow)",
     )
 
-
-def _commands() -> dict:
-    """name -> (handler, help line, adds the subcommand's arguments).  The
-    handlers are looked up on each call, so a rebound one is dispatched to."""
-    return {
-        "validate": (
-            cmd_validate, "parse a graph file and echo its contents", _file_args
-        ),
-        "classify": (cmd_classify, "compute all vertex classifications", _file_args),
-        "closure": (
-            cmd_closure, "hereditary saturated closure of a seed set", _closure_args
-        ),
-        "hedgehog": (
-            cmd_hedgehog, "build the hedgehog graph of (H, S)", _hedgehog_args
-        ),
-        "report": (
-            cmd_report, "largest-ideal generating sets and classes", _report_args
-        ),
-        "eval": (cmd_eval, "evaluate an algebra expression", _eval_args),
-        "dot": (cmd_dot, "export the graph in DOT format", _dot_args),
-        "selftest": (
-            cmd_selftest, "run the randomized property suites", _selftest_args
-        ),
-    }
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The `lpa` parser.  Every subcommand is listed, but only ``command``'s
-    arguments are added (all of them when it is None): one subcommand runs,
-    and the others' help and usage never print."""
-    parser = argparse.ArgumentParser(
-        prog="lpa",
-        description="Path-algebra analysis of directed graphs with ω-bundles",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (fn, help_line, add_arguments) in _commands().items():
-        p = sub.add_parser(name, help=help_line)
-        p.set_defaults(func=fn)
-        if command is None or command == name:
-            add_arguments(p)
     return parser
 
 
 def run(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # the top level takes no option with a value, so the first token naming
-    # a subcommand is the one argparse dispatches to
-    names = _commands()
-    command = next((arg for arg in argv if arg in names), "")
-    args = build_parser(command).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InvariantViolation as exc:

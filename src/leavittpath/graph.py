@@ -337,7 +337,7 @@ class Graph:
         return f"Graph({len(self._vertices)} vertices, {len(self._bundles)} bundles)"
 
 
-class Condensation(namedtuple("Condensation", "scc_of masks dag internal")):
+class Condensation(namedtuple("Condensation", "scc_of masks dag internal order")):
     """SCC partition of a graph plus its component DAG.
 
     Component ids are assigned by smallest member vertex (sorted order),
@@ -346,7 +346,8 @@ class Condensation(namedtuple("Condensation", "scc_of masks dag internal")):
     c and ``dag[c]`` the components it has an edge into, sorted; c is
     terminal when that is empty.  ``internal[c]`` counts the edge instances
     that stay inside component c (``math.inf`` once an ω-bundle does), and
-    a component is trivial when that count is 0.
+    a component is trivial when that count is 0.  ``order`` lists every
+    component after each component it has an edge into.
     """
 
     __slots__ = ()
@@ -354,7 +355,7 @@ class Condensation(namedtuple("Condensation", "scc_of masks dag internal")):
     def reach_union(self, values) -> list[int]:
         """Per component, the OR of ``values`` over every component it
         reaches, itself included; linear in the DAG edges."""
-        return _kernel.reach_masks(values, self.dag)
+        return _kernel.reach_masks(values, self.dag, self.order)
 
 
 @per_graph
@@ -366,7 +367,7 @@ def condense(g: Graph) -> Condensation:
     up.
     """
     succ = g.successors
-    labels, masks = _kernel.scc_labels(succ)
+    labels, masks, order = _kernel.scc_labels(succ)
     ncomp = len(masks)
     internal = [0] * ncomp
     dag_sets: list[set[int]] = [set() for _ in range(ncomp)]
@@ -385,6 +386,7 @@ def condense(g: Graph) -> Condensation:
         masks=tuple(masks),
         dag=tuple(tuple(sorted(s)) for s in dag_sets),
         internal=tuple(internal),
+        order=tuple(order),
     )
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .classify import classify, p_ppi
+from .classify import classify
 from .closures import breaking_vertices, density_check, hs_closure
 from .errors import GraphValidationError, InvariantViolation
 from .graph import Graph, condense, to_text
@@ -54,7 +54,7 @@ def is_purely_infinite_ideal(g: Graph, d: GradedIdealDescriptor) -> bool:
     """
     if d.S:
         return False
-    return set(d.H) <= set(p_ppi(g))
+    return set(d.H) <= set(classify(g).p_ppi)
 
 
 PEC_LABEL = "PurelyInfiniteSimple"

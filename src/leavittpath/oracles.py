@@ -205,21 +205,23 @@ def b_infinity_oracle(g: Graph) -> tuple:
 
 def properly_infinite_subsets_oracle(g: Graph) -> tuple:
     """P_pi by the raw existential: some subset of TwoPlus tree vertices
-    whose closure recaptures v.  Exponential; callers keep graphs small."""
+    whose closure recaptures v.  Each subset is closed at most once per
+    graph, however many trees hold it.  Exponential; callers keep graphs
+    small."""
     reach = reach_sets(g)
     verdicts = _csp_verdicts(g)
     two = [u for u in g.vertices if verdicts[u] == "TwoPlus"]
+    closed = {}
     out = []
     for v in g.vertices:
         pool = [w for w in two if w in reach[v]]
-        hit = False
         for bits in range(1, 1 << len(pool)):
-            subset = [w for i, w in enumerate(pool) if bits >> i & 1]
-            if v in hs_closure_oracle(g, subset):
-                hit = True
+            subset = frozenset(w for i, w in enumerate(pool) if bits >> i & 1)
+            if subset not in closed:
+                closed[subset] = hs_closure_oracle(g, subset)
+            if v in closed[subset]:
+                out.append(v)
                 break
-        if hit:
-            out.append(v)
     return tuple(sorted(out))
 
 

@@ -6,14 +6,14 @@ import random
 
 from .graph import OMEGA, EdgeBundle, Graph
 
+# a random bundle is ω with probability OMEGA_RATE, else of multiplicity
+# 1..MAX_MULT
+MAX_MULT = 3
+OMEGA_RATE = 0.08
 
-def random_graph(
-    rng: random.Random,
-    max_vertices: int = 8,
-    max_mult: int = 3,
-    allow_omega: bool = True,
-) -> Graph:
-    """One random graph: sparse bundles, mixed multiplicities, optional ω."""
+
+def random_graph(rng: random.Random, max_vertices: int = 8) -> Graph:
+    """One random graph: sparse bundles, mixed multiplicities, some ω."""
     n = rng.randint(1, max_vertices)
     vertices = [f"v{i}" for i in range(1, n + 1)]
     bundles = []
@@ -23,25 +23,19 @@ def random_graph(
             if rng.random() >= 0.3:
                 continue
             eid += 1
-            if allow_omega and rng.random() < 0.08:
+            if rng.random() < OMEGA_RATE:
                 mult = OMEGA
             else:
-                mult = rng.randint(1, max_mult)
+                mult = rng.randint(1, MAX_MULT)
             bundles.append(EdgeBundle(f"e{eid}", src, dst, mult))
     return Graph(vertices, bundles)
 
 
-def random_graphs(
-    count: int,
-    seed: int,
-    max_vertices: int = 8,
-    max_mult: int = 3,
-    allow_omega: bool = True,
-):
+def random_graphs(count: int, seed: int, max_vertices: int = 8):
     """Deterministic stream of `count` random graphs for a given seed."""
     rng = random.Random(seed)
     for _ in range(count):
-        yield random_graph(rng, max_vertices, max_mult, allow_omega)
+        yield random_graph(rng, max_vertices)
 
 
 def _graph_from_code(n: int, code: tuple) -> Graph:

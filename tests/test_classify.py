@@ -16,16 +16,11 @@ from leavittpath import (
     InvariantViolation,
     classify,
     cli,
-    condition_K,
-    condition_L,
     csp_class,
     csp_classes,
-    cycles_without_exits,
-    extreme_cycles,
     parse_graph,
     to_text,
 )
-from leavittpath.classify import p_K, p_ppi
 
 from conftest import fixture_graph
 
@@ -78,16 +73,16 @@ def _cycle(n, chord=False):
 def test_csp_long_simple_cycle():
     g = _cycle(1500)
     assert set(csp_classes(g).values()) == {"One"}
-    assert cycles_without_exits(g) == g.vertices
-    assert extreme_cycles(g) == ()
+    assert classify(g).p_c == g.vertices
+    assert classify(g).p_ec == ()
 
 
 def test_csp_long_cycle_with_chord():
     # the chord is an exit of the cycle and closes a second simple path
     g = _cycle(1500, chord=True)
     assert set(csp_classes(g).values()) == {"TwoPlus"}
-    assert extreme_cycles(g) == g.vertices
-    assert cycles_without_exits(g) == ()
+    assert classify(g).p_ec == g.vertices
+    assert classify(g).p_c == ()
 
 
 def test_cli_classify_long_cycle(tmp_path, capsys):
@@ -187,14 +182,14 @@ def test_p_ex_adds_breaking_vertices():
         "edge c w w\n"
     )
     # w carries the unique cycle: CSP(w) = One, so P_(K) = {h}
-    assert p_K(g2) == ("h",)
+    assert classify(g2).p_K == ("h",)
     c2 = classify(g2)
     assert c2.p_ex == ("h", "u")  # u breaks {h}: omega into it, one escape
 
 
 def test_p_ppi_requires_tree_inside_p_pi():
     g = fixture_graph("chain3sink")
-    assert p_ppi(g) == ("v2", "v3")  # v1 sees the sink v4
+    assert classify(g).p_ppi == ("v2", "v3")  # v1 sees the sink v4
 
 
 def test_p_ppi_excludes_trees_with_breaking_capable_vertices():
@@ -213,10 +208,10 @@ def test_p_ppi_excludes_trees_with_breaking_capable_vertices():
 
 
 def test_conditions_on_fixtures():
-    assert condition_L(fixture_graph("chain3"))
-    assert not condition_L(fixture_graph("six"))  # w2's loop has no exit
-    assert condition_K(fixture_graph("fork"))
-    assert not condition_K(fixture_graph("twoloop-oneloop"))
+    assert classify(fixture_graph("chain3")).condition_L
+    assert not classify(fixture_graph("six")).condition_L  # w2's loop has no exit
+    assert classify(fixture_graph("fork")).condition_K
+    assert not classify(fixture_graph("twoloop-oneloop")).condition_K
 
 
 def test_classification_cached_per_graph():

@@ -417,9 +417,9 @@ USAGE_GOLDEN = json.loads(
 )
 
 
-def usage_bytes(capsys, argv, parse=cli.run):
+def usage_bytes(capsys, argv):
     try:
-        code = parse(list(argv))
+        code = cli.run(list(argv))
     except SystemExit as exc:
         code = exc.code
     captured = capsys.readouterr()
@@ -439,14 +439,3 @@ def test_help_and_usage_errors_are_byte_identical(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", str(USAGE_GOLDEN["columns"]))
     for case in USAGE_GOLDEN["cases"]:
         assert usage_bytes(capsys, case["argv"]) == case
-
-
-def test_usage_bytes_match_a_parser_with_every_subcommand_built(capsys, monkeypatch):
-    monkeypatch.setenv("COLUMNS", str(USAGE_GOLDEN["columns"]))
-
-    def full_parse(argv):
-        return cli.build_parser().parse_args(argv)
-
-    for case in USAGE_GOLDEN["cases"]:
-        lazy = usage_bytes(capsys, case["argv"])
-        assert lazy == usage_bytes(capsys, case["argv"], full_parse)

@@ -189,7 +189,10 @@ def _check_condensation(g):
                     todo.append(b.target)
         reach[v] = seen
     cond = condense(g)
-    assert cond._fields == ("scc_of", "masks", "dag", "internal")
+    assert cond._fields == ("scc_of", "masks", "dag", "internal", "order")
+    assert sorted(cond.order) == list(range(len(cond.masks)))
+    position = {c: k for k, c in enumerate(cond.order)}
+    assert all(position[d] < position[c] for c in position for d in cond.dag[c])
     assert len(g.reach_masks()) == len(cond.masks)
     for i, v in enumerate(vs):
         c = cond.scc_of[i]

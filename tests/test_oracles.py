@@ -14,19 +14,13 @@ import pytest
 
 from leavittpath import (
     OMEGA,
-    b_infinity,
     breaking_capable,
+    classify,
     condense,
     csp_class,
-    cycles_without_exits,
-    extreme_cycles,
     hs_closure,
     is_hereditary,
     is_saturated,
-    line_points,
-    p_ex,
-    p_K,
-    p_ppi,
     parse_graph,
     properly_infinite,
     reachable,
@@ -287,17 +281,18 @@ def test_csp_and_cycle_sets_match_oracles_with_omega():
             ), to_text(g)
         sccs = tuple(frozenset(g.set_of(m)) for m in condense(g).masks)
         assert sccs == sccs_oracle(g), to_text(g)
-        assert cycles_without_exits(g) == cycles_without_exits_oracle(g), to_text(g)
-        assert extreme_cycles(g) == extreme_cycles_oracle(g), to_text(g)
-        assert line_points(g) == line_points_oracle(g), to_text(g)
-        assert b_infinity(g) == b_infinity_oracle(g), to_text(g)
+        c = classify(g)
+        assert c.p_c == cycles_without_exits_oracle(g), to_text(g)
+        assert c.p_ec == extreme_cycles_oracle(g), to_text(g)
+        assert c.p_l == line_points_oracle(g), to_text(g)
+        assert c.p_binf == b_infinity_oracle(g), to_text(g)
         assert breaking_capable(g) == breaking_capable_oracle(g), to_text(g)
-        assert p_K(g) == p_K_oracle(g), to_text(g)
+        assert c.p_K == p_K_oracle(g), to_text(g)
         assert properly_infinite(g) == properly_infinite_subsets_oracle(g), (
             to_text(g)
         )
-        assert p_ppi(g) == p_ppi_oracle(g), to_text(g)
-        assert p_ex(g) == p_ex_oracle(g), to_text(g)
+        assert c.p_ppi == p_ppi_oracle(g), to_text(g)
+        assert c.p_ex == p_ex_oracle(g), to_text(g)
 
 
 def _saturate_once_by_definition(g, X):
