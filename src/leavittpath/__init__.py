@@ -5,11 +5,12 @@ bundles (possibly countably infinite), the hereditary/saturated closure
 machinery, vertex classifiers, largest-ideal reports, the hedgehog
 construction, and a small exact-arithmetic term engine.
 
-The term engine (``terms``) and the hedgehog construction (``hedgehog``)
-are loaded on first use of one of their names, so that a fresh ``lpa``
-imports only what its subcommand runs.  ``classify`` stays eager: loading
-the submodule ``classify`` lazily would rebind the package attribute
-``classify`` from the function to the module.
+The term engine (``terms``), the hedgehog construction (``hedgehog``) and
+the largest-ideal report (``ideals``) are loaded on first use of one of
+their names, so that a fresh ``lpa`` imports only what its subcommand
+runs.  ``classify`` stays eager: loading the submodule ``classify`` lazily
+would rebind the package attribute ``classify`` from the function to the
+module.
 """
 
 from .classify import (
@@ -51,22 +52,26 @@ from .graph import (
     to_dot,
     to_text,
 )
-from .ideals import (
-    CycleClass,
-    GradedIdealDescriptor,
-    LargestIdealsReport,
-    descriptor_leq,
-    ideal_descriptor,
-    is_purely_infinite_ideal,
-    largest_ideals_report,
-    pi_decomposition,
-)
 
-# the two modules loaded on first use, and their public names
+# the modules loaded on first use, and their public names
 _LAZY = {
     **dict.fromkeys(
         ("hedgehog", "HedgehogGraph", "build_hedgehog", "hedgehog_is_finite"),
         "hedgehog",
+    ),
+    **dict.fromkeys(
+        (
+            "ideals",
+            "CycleClass",
+            "GradedIdealDescriptor",
+            "LargestIdealsReport",
+            "descriptor_leq",
+            "ideal_descriptor",
+            "is_purely_infinite_ideal",
+            "largest_ideals_report",
+            "pi_decomposition",
+        ),
+        "ideals",
     ),
     **dict.fromkeys(
         (

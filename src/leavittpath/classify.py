@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .closures import breaking_capable, breaking_vertices, hs_closure
+from .closures import breaking_capable_mask, breaking_counts, hs_closure
 from .errors import InvariantViolation
 from .graph import INFINITE_EMITTER, SINK, Graph, condense, per_graph, to_text
 
@@ -66,7 +66,7 @@ def csp_classes(g: Graph) -> dict:
     return dict(zip(g.vertices, map(classes.__getitem__, condense(g).scc_of)))
 
 
-def properly_infinite(g: Graph) -> tuple[str, ...]:
+def properly_infinite_mask(g: Graph) -> int:
     """Properly infinite vertices: v lies in the closure of its TwoPlus tree.
 
     W_v = {w in T(v) : csp_class(w) = TwoPlus}; v is properly infinite iff
@@ -89,7 +89,12 @@ def properly_infinite(g: Graph) -> tuple[str, ...]:
     for m, tree, h in zip(cond.masks, reach, held):
         if not tree & bad & ~h:
             found |= m
-    return g.set_of(found)
+    return found
+
+
+def properly_infinite(g: Graph) -> tuple[str, ...]:
+    """Properly infinite vertices: ``properly_infinite_mask`` named."""
+    return g.set_of(properly_infinite_mask(g))
 
 
 class Classification(
@@ -103,15 +108,17 @@ class Classification(
 
     Each ``p_*`` field is a sorted tuple of vertex ids; ``condition_K`` and
     ``condition_L`` are booleans; ``exchange_breaking`` is B_{P_(K)}, a
-    (vertex, number of its edges leaving P_(K)) pair per member.
+    (vertex, number of its edges leaving P_(K)) pair per member.  The
+    private ``_classify_masks`` holds the same record on the integer view:
+    vertex masks, and vertex indices in ``exchange_breaking``.
     """
 
     __slots__ = ()
 
 
 @per_graph
-def classify(g: Graph) -> Classification:
-    """Every classifier set as one pipeline of masks, certified, then named.
+def _classify_masks(g: Graph) -> Classification:
+    """Every classifier set as one pipeline of masks, certified.
 
     docs/design-notes.md ("Vertex classifiers") gives the reading of each
     set.  Each check on the masks raises ``InvariantViolation`` with the
@@ -124,16 +131,18 @@ def classify(g: Graph) -> Classification:
     p_ec = _class_mask(g, CSP_TWO_PLUS, terminal=True)
     p_l = full & ~g.reaching(g.bifurcations | one | two)
     p_binf = g.reaching(g.kind_mask(INFINITE_EMITTER))
-    p_pi = g.mask_of(properly_infinite(g))
+    p_pi = properly_infinite_mask(g)
     # capability is read on the members of T(v): asking for breaking vertices
     # of T(v) itself would evict extreme cycles an outside emitter pours into
-    p_ppi = full & ~g.reaching(~p_pi | g.mask_of(breaking_capable(g)))
+    p_ppi = full & ~g.reaching(~p_pi | breaking_capable_mask(g))
     seen = g.tree_mask(p_ppi & ~p_ec)
     p_ec_prime, p_pec = p_ec & seen, p_ec & ~seen
     p_prime = p_ppi & ~p_pec
     p_K = full & ~g.reaching(one)
-    breaking = breaking_vertices(g, g.set_of(p_K))
-    p_ex = p_K | g.mask_of(breaking)
+    breaking = breaking_counts(g, p_K)
+    p_ex = p_K
+    for i, _ in breaking:
+        p_ex |= 1 << i
     cond_K = not one
     # a cycle without exits is a non-trivial SCC with no bifurcation
     cond = condense(g)
@@ -161,11 +170,20 @@ def classify(g: Graph) -> Classification:
         fail("Condition (K) disagrees with P_(K)")
 
     return Classification(
-        *map(g.set_of, (
-            p_l, p_c, p_ec, p_binf, p_pi, p_ppi, p_ec_prime, p_pec, p_prime,
-            p_K, p_ex,
-        )),
+        p_l, p_c, p_ec, p_binf, p_pi, p_ppi, p_ec_prime, p_pec, p_prime, p_K,
+        p_ex, condition_K=cond_K, condition_L=cond_L, exchange_breaking=breaking,
+    )
+
+
+@per_graph
+def classify(g: Graph) -> Classification:
+    """Every classifier set of ``_classify_masks`` named, certified on the
+    masks first."""
+    *masks, cond_K, cond_L, breaking = _classify_masks(g)
+    name = g.vertices.__getitem__
+    return Classification(
+        *map(g.set_of, masks),
         condition_K=cond_K,
         condition_L=cond_L,
-        exchange_breaking=tuple(breaking.outside_counts.items()),
+        exchange_breaking=tuple((name(i), count) for i, count in breaking),
     )

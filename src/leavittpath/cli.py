@@ -27,7 +27,6 @@ from .errors import (
     InvariantViolation,
 )
 from .graph import Graph, graph_digest, mult_to_json, parse_graph, to_dot
-from .ideals import largest_ideals_report
 
 SCHEMA_VERSION = "1"
 
@@ -169,6 +168,8 @@ def _cycle_class_payload(c) -> dict:
 
 
 def report_payload(g: Graph) -> dict:
+    from .ideals import largest_ideals_report
+
     r = largest_ideals_report(g)
     return {
         **_classification_payload(classify(g)),

@@ -23,13 +23,8 @@ from .graph import INFINITE_EMITTER, OMEGA, REGULAR, Graph, per_graph, to_text
 def _regular_targets(g: Graph) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """(vertex index, successor indices) of each Regular vertex, for
     saturation."""
-    # the mask's digits, lowest first: a shift per vertex would copy it
-    regular = format(g.kind_mask(REGULAR), "b")[::-1]
-    return tuple(
-        (i, succ)
-        for i, (succ, bit) in enumerate(zip(g.successors, regular))
-        if bit == "1"
-    )
+    succ = g.successors
+    return tuple((i, succ[i]) for i in g.indices_of(g.kind_mask(REGULAR)))
 
 
 def is_hereditary(g: Graph, members) -> bool:
@@ -150,20 +145,34 @@ def hs_closure(g: Graph, X) -> HereditarySet:
     return HereditarySet(g.set_of(mask), True, True, rounds=rounds)
 
 
+def breaking_counts(g: Graph, held: int) -> tuple[tuple[int, int], ...]:
+    """(vertex index, edges outside the set) of each breaking vertex of
+    the hereditary set ``held``, by index."""
+    out, succ = g.out_table, g.successors
+    found = []
+    for i in g.indices_of(g.kind_mask(INFINITE_EMITTER) & ~held):
+        count = 0
+        for b, t in zip(out[i], succ[i]):
+            if not held >> t & 1:
+                if b.mult is OMEGA:
+                    break
+                count += b.mult
+        else:
+            found.append((i, count))
+    return tuple(found)
+
+
 def breaking_vertices(g: Graph, H) -> BreakingSet:
     """Breaking vertices of the hereditary set H, with outside-edge counts."""
-    members = set(H)
-    if not is_hereditary(g, members):
+    held = g.mask_of(H)
+    if g.tree_mask(held) != held:
         raise GraphValidationError("H is not hereditary")
-    counts = {}
-    for v in g.set_of(g.kind_mask(INFINITE_EMITTER) & ~g.mask_of(members)):
-        escaping = [b.mult for b in g.out_bundles(v) if b.target not in members]
-        if all(m is not OMEGA for m in escaping):
-            counts[v] = sum(escaping)
+    name = g.vertices.__getitem__
+    counts = {name(i): count for i, count in breaking_counts(g, held)}
     return BreakingSet(tuple(counts), counts)
 
 
-def breaking_capable(g: Graph) -> tuple[str, ...]:
+def breaking_capable_mask(g: Graph) -> int:
     """Vertices that break *some* hereditary set (with a nonzero escape).
 
     An infinite emitter u belongs to B_Y for a hereditary Y exactly when Y
@@ -171,20 +180,29 @@ def breaking_capable(g: Graph) -> tuple[str, ...]:
     least one finite edge of u escapes.  Any such Y contains the tree of the
     ω-targets, and that tree is itself the smallest candidate, so the test
     collapses to: some finite edge of u leaves their tree.  (That edge also
-    keeps u outside: a tree holding u holds all of u's targets.)  (An emitter whose every edge lands in the
-    tree never witnesses the obstruction: the zero-escape case is what the
-    v^H elements degenerate on, not what poisons proper infiniteness.)
+    keeps u outside: a tree holding u holds all of u's targets.)  (An
+    emitter whose every edge lands in the tree never witnesses the
+    obstruction: the zero-escape case is what the v^H elements degenerate
+    on, not what poisons proper infiniteness.)
     """
-    out = []
-    for u in g.set_of(g.kind_mask(INFINITE_EMITTER)):
-        bundles = g.out_bundles(u)
-        held = g.tree_mask(
-            g.mask_of(b.target for b in bundles if b.mult is OMEGA)
-        )
-        escape = g.mask_of(b.target for b in bundles if b.mult is not OMEGA)
-        if escape & ~held:
-            out.append(u)
-    return tuple(out)
+    out, succ = g.out_table, g.successors
+    found = 0
+    for i in g.indices_of(g.kind_mask(INFINITE_EMITTER)):
+        omega = finite = 0
+        for b, t in zip(out[i], succ[i]):
+            if b.mult is OMEGA:
+                omega |= 1 << t
+            else:
+                finite |= 1 << t
+        if finite & ~g.tree_mask(omega):
+            found |= 1 << i
+    return found
+
+
+def breaking_capable(g: Graph) -> tuple[str, ...]:
+    """Vertices that break some hereditary set: ``breaking_capable_mask``
+    named."""
+    return g.set_of(breaking_capable_mask(g))
 
 
 def restriction_graph(g: Graph, H) -> Graph:
@@ -207,30 +225,46 @@ class DensityResult(namedtuple("DensityResult", "dense witnesses")):
     __slots__ = ()
 
 
-def density_check(g: Graph, X) -> DensityResult:
-    """Does every vertex of the graph connect to X?
+def density_witnesses(g: Graph, X: int) -> list:
+    """Per vertex index, the bundle ids of a shortest path into the set
+    ``X``: empty inside it, None for a vertex that cannot reach it.
 
     X may be any vertex set (the classifier union this is applied to is not
-    hereditary in general).  One breadth-first pass from X along in-bundles
-    gives each vertex its distance to X; then, in that order, a vertex's
-    witness is its smallest-id out-bundle one step nearer X followed by the
-    witness of that bundle's target.
+    hereditary in general).  One breadth-first pass from X along reversed
+    edges gives each vertex its distance to X; then, in that order, a
+    vertex's witness is its smallest-id out-bundle one step nearer X
+    followed by the witness of that bundle's target.
     """
-    dist = dict.fromkeys(X, 0)
-    order = list(dist)
-    for w in order:
-        for b in g.in_bundles(w):
-            if b.source not in dist:
-                dist[b.source] = dist[w] + 1
-                order.append(b.source)
-    witnesses: dict = dict.fromkeys(g.vertices)
+    out, succ = g.out_table, g.successors
+    preds: list[list[int]] = [[] for _ in succ]
+    for s, ts in enumerate(succ):
+        for t in ts:
+            preds[t].append(s)
+    dist = [-1] * len(succ)
+    order = g.indices_of(X)
+    for i in order:
+        dist[i] = 0
+    for t in order:
+        for s in preds[t]:
+            if dist[s] < 0:
+                dist[s] = dist[t] + 1
+                order.append(s)
+    witnesses: list = [None] * len(succ)
     for v in order:
         if dist[v]:
             # out-bundles are kept in id order: the first match is the smallest
-            step = next(
-                b for b in g.out_bundles(v) if dist.get(b.target) == dist[v] - 1
-            )
-            witnesses[v] = (step.id,) + witnesses[step.target]
+            want = dist[v] - 1
+            for b, t in zip(out[v], succ[v]):
+                if dist[t] == want:
+                    witnesses[v] = (b.id, *witnesses[t])
+                    break
         else:
             witnesses[v] = ()
-    return DensityResult(len(dist) == len(g.vertices), witnesses)
+    return witnesses
+
+
+def density_check(g: Graph, X) -> DensityResult:
+    """Does every vertex of the graph connect to X?  ``density_witnesses``
+    on the named set, with the witnesses keyed by vertex id."""
+    witnesses = density_witnesses(g, g.mask_of(X))
+    return DensityResult(None not in witnesses, dict(zip(g.vertices, witnesses)))

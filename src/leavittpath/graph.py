@@ -161,43 +161,36 @@ class Graph:
         self._bundles = tuple(sorted(bs, key=_bundle_id))
         self._index = index = dict(zip(verts, range(len(verts))))
         self._full = (1 << len(verts)) - 1
-        self._by_id = dict(zip(map(_bundle_id, self._bundles), self._bundles))
-        # one pass over the bundles fills every per-index table; a dangling
-        # endpoint fails its lookup and a bad multiplicity its test, and the
-        # ordered loop then names the first offender in input order
+        # one pass over the bundles, each unpacked once, fills the per-index
+        # tables; a dangling endpoint fails its lookup and a bad multiplicity
+        # its test, and the ordered loop then names the first offender in
+        # input order
         out: list[list[EdgeBundle]] = [[] for _ in verts]
-        inc: list[list[EdgeBundle]] = [[] for _ in verts]
         succ: list[list[int]] = [[] for _ in verts]
         emitters = 0
         try:
             for b in self._bundles:
-                s = index[b.source]
-                t = index[b.target]
-                if b.mult is OMEGA:
+                _, source, target, mult = b
+                s = index[source]
+                if mult is OMEGA:
                     emitters |= 1 << s
-                elif not isinstance(b.mult, int) or b.mult < 1:
+                elif not isinstance(mult, int) or mult < 1:
                     raise ValueError
                 out[s].append(b)
-                inc[t].append(b)
-                succ[s].append(t)
+                succ[s].append(index[target])
         except (KeyError, ValueError):
             _raise_invalid_bundle(index, bs)
         sinks = bifurcations = 0
-        kinds = []
         for i, lst in enumerate(out):
             if not lst:
                 sinks |= 1 << i
-                kinds.append(SINK)
-            else:
-                kinds.append(INFINITE_EMITTER if emitters >> i & 1 else REGULAR)
-                # ω, two bundles, or one bundle of multiplicity k >= 2
-                if len(lst) > 1 or lst[0].mult != 1:
-                    bifurcations |= 1 << i
+            # ω, two bundles, or one bundle of multiplicity k >= 2
+            elif len(lst) > 1 or lst[0].mult != 1:
+                bifurcations |= 1 << i
         self._out = tuple(map(tuple, out))
-        self._in = tuple(map(tuple, inc))
         self._succ = tuple(map(tuple, succ))
-        self._targets = None  # filled on first use of targets()
-        self._kinds = tuple(kinds)
+        # tables that only some callers read, built on their first call
+        self._in = self._kinds = self._by_id = self._targets = None
         self._kind_masks = {
             SINK: sinks,
             REGULAR: self._full & ~sinks & ~emitters,
@@ -223,23 +216,44 @@ class Graph:
         for v in vs:
             self.index(v)
 
+    def _bundle_table(self) -> dict[str, EdgeBundle]:
+        by_id = self._by_id
+        if by_id is None:
+            bs = self._bundles
+            by_id = self._by_id = dict(zip(map(_bundle_id, bs), bs))
+        return by_id
+
     def bundle(self, eid: str) -> EdgeBundle:
         try:
-            return self._by_id[eid]
+            return self._bundle_table()[eid]
         except KeyError:
             raise GraphValidationError(f"unknown bundle id '{eid}'") from None
 
     def has_bundle(self, eid: str) -> bool:
-        return eid in self._by_id
+        return eid in self._bundle_table()
 
     def out_bundles(self, v: str) -> tuple[EdgeBundle, ...]:
         return self._out[self.index(v)]
 
     def in_bundles(self, v: str) -> tuple[EdgeBundle, ...]:
-        return self._in[self.index(v)]
+        inc = self._in
+        if inc is None:
+            lists: list[list[EdgeBundle]] = [[] for _ in self._vertices]
+            for b in self._bundles:
+                lists[self._index[b.target]].append(b)
+            inc = self._in = tuple(map(tuple, lists))
+        return inc[self.index(v)]
 
     def kind(self, v: str) -> str:
-        return self._kinds[self.index(v)]
+        kinds = self._kinds
+        if kinds is None:
+            kinds = self._kinds = tuple(
+                SINK if not out
+                else INFINITE_EMITTER if any(b.mult is OMEGA for b in out)
+                else REGULAR
+                for out in self._out
+            )
+        return kinds[self.index(v)]
 
     def is_regular(self, v: str) -> bool:
         return self.kind(v) == REGULAR
@@ -273,8 +287,17 @@ class Graph:
 
     def set_of(self, mask: int) -> tuple[str, ...]:
         """The ids in ``mask``, sorted; a complement ``~m`` is accepted."""
-        bits = format(mask & self._full, "b").encode()[::-1].translate(_BITS)
-        return tuple(compress(self._vertices, bits))
+        return tuple(compress(self._vertices, self._selectors(mask)))
+
+    def indices_of(self, mask: int) -> list[int]:
+        """The indices in ``mask``, ascending; a complement ``~m`` is
+        accepted."""
+        return list(compress(range(len(self._vertices)), self._selectors(mask)))
+
+    def _selectors(self, mask: int) -> bytes:
+        """Per index, the byte 1 when it is in ``mask`` and 0 when not (up
+        to the highest index in it): one pass over the binary digits."""
+        return format(mask & self._full, "b").encode()[::-1].translate(_BITS)
 
     @property
     def out_table(self) -> tuple[tuple[EdgeBundle, ...], ...]:
@@ -411,18 +434,70 @@ def parse_graph(text: str) -> Graph:
     `edge` and `bundle` are interchangeable on input; the canonical
     serializer emits `edge` for finite multiplicities and `bundle ... omega`
     for ω.  k is written in ASCII digits.
+
+    One pass splits the lines into vertex ids and bundles, reading each
+    multiplicity; the ids are then checked once, as sets.  A text that
+    fails either goes to ``_raise_first_error``, which names its first
+    fault with the line and column.
     """
     lines = text.splitlines()
     vertices: list[str] = []
-    declared: set[str] = set()
     bundles: list[EdgeBundle] = []
-    bundle_ids: set[str] = set()
-    ends: set[str] = set()
-    bundle_lines: list[int] = []
+    make = tuple.__new__  # skips EdgeBundle's Python-level __new__
+    try:
+        for line in lines:
+            if "#" in line:
+                line = line.split("#", 1)[0]
+            toks = line.split()
+            if not toks:
+                continue
+            head = toks[0]
+            if head == "vertices":
+                vertices += toks[1:]
+            elif head != "edge" and head != "bundle":
+                raise ValueError
+            elif len(toks) == 4:
+                bundles.append(make(EdgeBundle, (toks[1], toks[2], toks[3], 1)))
+            else:
+                _, eid, src, dst, m = toks  # any other length: ValueError
+                if m == "omega":
+                    mult = OMEGA
+                elif m[0] != "x" or not m[1:].isdigit() or not m.isascii():
+                    raise ValueError
+                else:
+                    mult = int(m[1:])  # past int()'s digit limit: ValueError
+                    if not mult:
+                        raise ValueError
+                bundles.append(make(EdgeBundle, (eid, src, dst, mult)))
+    except ValueError:
+        _raise_first_error(lines)
+
+    declared = set(vertices)
+    eids, sources, targets, _ = zip(*bundles) if bundles else ((),) * 4
+    ids = set(eids)
+    if not (
+        len(declared) == len(vertices) and len(ids) == len(eids)
+        and declared.isdisjoint(ids)
+        and declared.issuperset(sources) and declared.issuperset(targets)
+        and _KEYWORDS.isdisjoint(declared) and _KEYWORDS.isdisjoint(ids)
+        and all(map(str.isidentifier, declared)) and all(map(str.isidentifier, ids))
+        # a non-ASCII character may sit in a comment or between two ids
+        and (text.isascii() or all(map(str.isascii, declared | ids)))
+    ):
+        _raise_first_error(lines)
+    return Graph(vertices, bundles)
+
+
+def _raise_first_error(lines: list[str]):
+    """Raise the first fault of a text that ``parse_graph`` rejected.
+
+    The lines are walked in order; each is checked token by token, then
+    the endpoints and the bundle ids against every declared vertex.
+    """
 
     def error(message: str, k: int) -> GraphSyntaxError:
         """The error at token k of line ``lineno`` (k past the last token:
-        the end of the line's code); only here are columns worked out."""
+        the end of the line's code)."""
         code = lines[lineno - 1].split("#", 1)[0]
         toks = code.split()
         pos = 0
@@ -432,80 +507,53 @@ def parse_graph(text: str) -> Graph:
             pos = code.index(toks[k], pos)
         return GraphSyntaxError(message, lineno, pos + 1)
 
-    # each line is checked by one fast test; only when it fails does the
-    # ordered loop run, naming the first offender with its column
+    declared: set[str] = set()
+    bundle_ids: set[str] = set()
+    edge_rows: list[tuple[int, list[str]]] = []
     for lineno, line in enumerate(lines, start=1):
-        if "#" in line:
-            line = line.split("#", 1)[0]
-        toks = line.split()
+        toks = line.split("#", 1)[0].split()
         if not toks:
             continue
         head = toks[0]
         if head == "edge" or head == "bundle":
             if len(toks) < 4:
                 raise error(f"'{head}' needs <id> <src> <dst>", len(toks))
-            eid, src, dst = toks[1], toks[2], toks[3]
-            if not (
-                line.isascii() and eid.isidentifier() and src.isidentifier()
-                and dst.isidentifier() and eid not in _KEYWORDS
-                and src not in _KEYWORDS and dst not in _KEYWORDS
-            ):
-                for k in (1, 2, 3):
-                    if not is_valid_id(toks[k]):
-                        raise error(f"invalid id '{toks[k]}'", k)
-            if eid in bundle_ids or eid in declared:
-                raise error(f"duplicate id '{eid}'", 1)
-            mult: object = 1
+            for k in (1, 2, 3):
+                if not is_valid_id(toks[k]):
+                    raise error(f"invalid id '{toks[k]}'", k)
+            if toks[1] in bundle_ids or toks[1] in declared:
+                raise error(f"duplicate id '{toks[1]}'", 1)
             if len(toks) > 5:
                 raise error(f"unexpected token '{toks[5]}'", 5)
-            if len(toks) == 5:
+            if len(toks) == 5 and toks[4] != "omega":
                 mtok, digits = toks[4], toks[4][1:]
-                if mtok == "omega":
-                    mult = OMEGA
-                elif not (mtok[0] == "x" and digits.isdigit() and digits.isascii()):
+                if not (mtok[0] == "x" and digits.isdigit() and digits.isascii()):
                     raise error(f"expected 'x<k>' or 'omega', got '{mtok}'", 4)
-                else:
-                    try:
-                        mult = int(digits)
-                    except ValueError:  # past int()'s digit limit
-                        raise error("multiplicity has too many digits", 4) from None
-                    if mult == 0:
-                        raise error("multiplicity 0", 4)
-            bundle_ids.add(eid)
-            ends.add(src)
-            ends.add(dst)
-            bundles.append(EdgeBundle(eid, src, dst, mult))
-            bundle_lines.append(lineno)
+                try:
+                    mult = int(digits)
+                except ValueError:  # past int()'s digit limit
+                    raise error("multiplicity has too many digits", 4) from None
+                if mult == 0:
+                    raise error("multiplicity 0", 4)
+            bundle_ids.add(toks[1])
+            edge_rows.append((lineno, toks))
         elif head == "vertices":
-            ids = toks[1:]
-            if not (
-                line.isascii() and all(map(str.isidentifier, ids))
-                and _KEYWORDS.isdisjoint(ids) and declared.isdisjoint(ids)
-                and len(set(ids)) == len(ids)
-            ):
-                taken = set(declared)
-                for k, tok in enumerate(ids, 1):
-                    if not is_valid_id(tok):
-                        raise error(f"invalid id '{tok}'", k)
-                    if tok in taken:
-                        raise error(f"duplicate id '{tok}'", k)
-                    taken.add(tok)
-            declared.update(ids)
-            vertices += ids
+            for k, tok in enumerate(toks[1:], 1):
+                if not is_valid_id(tok):
+                    raise error(f"invalid id '{tok}'", k)
+                if tok in declared:
+                    raise error(f"duplicate id '{tok}'", k)
+                declared.add(tok)
         else:
             raise error(f"expected 'vertices', 'edge' or 'bundle', got '{head}'", 0)
-
-    if not ends <= declared:
-        for b, lineno in zip(bundles, bundle_lines):
-            for k, end in ((2, b.source), (3, b.target)):
-                if end not in declared:
-                    raise error(f"dangling endpoint '{end}'", k)
-    if not bundle_ids.isdisjoint(declared):
-        for b, lineno in zip(bundles, bundle_lines):
-            if b.id in declared:
-                raise error(f"duplicate id '{b.id}'", 1)
-
-    return Graph(vertices, bundles)
+    for lineno, toks in edge_rows:
+        for k in (2, 3):
+            if toks[k] not in declared:
+                raise error(f"dangling endpoint '{toks[k]}'", k)
+    for lineno, toks in edge_rows:
+        if toks[1] in declared:
+            raise error(f"duplicate id '{toks[1]}'", 1)
+    raise AssertionError("parse_graph rejected a text without a fault")
 
 
 def to_text(g: Graph) -> str:

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .classify import classify
-from .closures import breaking_vertices, density_check, hs_closure
+from .classify import _classify_masks, classify
+from .closures import breaking_vertices, density_witnesses, hs_closure
 from .errors import GraphValidationError, InvariantViolation
-from .graph import Graph, condense, to_text
+from .graph import Graph, condense, per_graph, to_text
 
 
 class GradedIdealDescriptor(namedtuple("GradedIdealDescriptor", "graph H S")):
@@ -69,8 +69,9 @@ class CycleClass(
     __slots__ = ()
 
 
+@per_graph
 def pi_decomposition(g: Graph) -> tuple[CycleClass, ...]:
-    """Split the purely infinite part into direct summands.
+    """Split the purely infinite part into direct summands (memoized).
 
     Each non-trivial terminal SCC inside P_pec is one simple class.  The
     non-trivial SCCs inside P′ are grouped by symmetrized reachability,
@@ -79,8 +80,8 @@ def pi_decomposition(g: Graph) -> tuple[CycleClass, ...]:
     all cycles within one SCC are mutually connected.  The classes' trees
     must be pairwise disjoint; an overlap raises ``InvariantViolation``.
     """
-    cls = classify(g)
-    pec, prime = g.mask_of(cls.p_pec), g.mask_of(cls.p_prime)
+    masks = _classify_masks(g)
+    pec, prime = masks.p_pec, masks.p_prime
     cond = condense(g)
     reach = g.reach_masks()
     # (kind, member SCCs, vertex mask, tree mask) per class
@@ -144,10 +145,11 @@ _FINITE_FRAGMENT_NOTE = (
 
 
 def largest_ideals_report(g: Graph) -> LargestIdealsReport:
-    cls = classify(g)
-    union = g.set_of(g.mask_of(cls.p_l + cls.p_c + cls.p_ec + cls.p_binf))
-    density = density_check(g, union)
-    if g.vertices and not density.dense:
+    cls, masks = classify(g), _classify_masks(g)
+    union = masks.p_l | masks.p_c | masks.p_ec | masks.p_binf
+    witnesses = density_witnesses(g, union)
+    dense = None not in witnesses
+    if g.vertices and not dense:
         raise InvariantViolation(
             "four-set union failed the density check", to_text(g)
         )
@@ -164,13 +166,13 @@ def largest_ideals_report(g: Graph) -> LargestIdealsReport:
 
     return LargestIdealsReport(
         semisimple_gens=cls.p_l,
-        loc_noetherian_gens=tuple(sorted(set(cls.p_l) | set(cls.p_c))),
+        loc_noetherian_gens=g.set_of(masks.p_l | masks.p_c),
         loc_noetherian_no_min_idem_gens=cls.p_c,
         purely_infinite_gens=cls.p_ppi,
         exchange_gens=cls.p_ex,
-        dense_gens=union,
-        dense=density.dense,
-        dense_witnesses=dict(density.witnesses),
+        dense_gens=g.set_of(union),
+        dense=dense,
+        dense_witnesses=dict(zip(g.vertices, witnesses)),
         pi_classes=pi_decomposition(g),
         exchange_breaking=cls.exchange_breaking,
         notes=tuple(notes),

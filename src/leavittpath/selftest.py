@@ -12,7 +12,7 @@ import sys
 import time
 
 from .classify import classify, csp_class, properly_infinite
-from .closures import breaking_capable, closure_mask, hs_closure
+from .closures import breaking_capable_mask, closure_mask, hs_closure
 from .errors import InvariantViolation
 from .graph import Graph, condense, to_text
 from .ideals import largest_ideals_report, pi_decomposition
@@ -65,15 +65,15 @@ def check_maximality(g: Graph) -> None:
     """
     c = classify(g)
     ppi = g.mask_of(c.p_ppi)
-    spoilers = ~g.mask_of(c.p_pi) | g.mask_of(breaking_capable(g))
-    reach, scc_of = g.reach_masks(), condense(g).scc_of
+    spoilers = ~g.mask_of(c.p_pi) | breaking_capable_mask(g)
+    reach = g.reach_masks()
     passed = set()
-    for v in g.set_of(~ppi):
-        i = g.index(v)
-        tree = ppi | reach[scc_of[i]]
-        if tree in passed:
+    for i, scc in enumerate(condense(g).scc_of):
+        tree = ppi | reach[scc]
+        if ppi >> i & 1 or tree in passed:
             continue
         if not closure_mask(g, ppi | 1 << i)[0] & spoilers:
+            v = g.vertices[i]
             _fail(f"closure of P_ppi plus '{v}' is still purely infinite")
         passed.add(tree)
 

@@ -219,18 +219,18 @@ def test_classification_cached_per_graph():
     assert classify(g) is classify(g)
 
 
-# (graph, classify's collaborator to break, its broken value, the message)
+# (graph, classify's mask collaborator to break, its broken value, the message)
 BROKEN_CERTIFICATIONS = {
     # the doubled loop at a is an extreme cycle that P_pi loses
     "p_ec_outside_p_pi": (
         "vertices a\nedge l a a x2\n",
-        "properly_infinite", (), "P_ec is not contained in P_pi",
+        "properly_infinite_mask", 0, "P_ec is not contained in P_pi",
     ),
-    # marking v capable evicts it from P_ppi = {a}, though v is regular
-    # and emits only into a
+    # marking v (index 1) capable evicts it from P_ppi = {a}, though v is
+    # regular and emits only into a
     "p_ppi_unsaturated": (
         "vertices a v\nedge e v a\nedge l a a x2\n",
-        "breaking_capable", ("v",),
+        "breaking_capable_mask", 0b10,
         "P_ppi = ['a'] is not hereditary+saturated",
     ),
 }

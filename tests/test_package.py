@@ -35,14 +35,16 @@ from conftest import FIXTURE_NAMES, ROOT, fixture_graph
 
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(leavittpath.__file__))
 
-# modules that only `eval`, `hedgehog` and `selftest` need, and what pulls in
+# modules that only `eval`, `hedgehog`, `report` and `selftest` need, and what pulls in
 # slow standard-library imports at start-up
 NOT_LOADED_BY_CLI = (
     "dataclasses",
+    "typing",
     "inspect",
     "fractions",
     "leavittpath.terms",
     "leavittpath.hedgehog",
+    "leavittpath.ideals",
     "leavittpath.selftest",
     "leavittpath.oracles",
     "leavittpath.random_graphs",
@@ -74,7 +76,8 @@ print(json.dumps({
     "not_in_dir": sorted(set(p.__all__) - set(dir(p))),
     "unresolved": [n for n in p.__all__ if not hasattr(p, n)],
     "submodules": p.terms is sys.modules["leavittpath.terms"]
-    and p.hedgehog is sys.modules["leavittpath.hedgehog"],
+    and p.hedgehog is sys.modules["leavittpath.hedgehog"]
+    and p.ideals is sys.modules["leavittpath.ideals"],
     "unknown": hasattr(p, "no_such_name"),
     "classify": isinstance(p.classify, types.FunctionType),
 }))
