@@ -87,14 +87,18 @@ def scc_labels(succ) -> tuple[list[int], list[int], list[int]]:
         order[k] = lab
         for v in comps[k]:
             labels[v] = lab
-    return labels, [_members_mask(comps[k]) for k in by_min], order
+    return labels, [members_mask(comps[k]) for k in by_min], order
 
 
-def _members_mask(members: list[int]) -> int:
-    """The mask of the vertex indices ``members``, built in one conversion:
-    one ``|=`` per member would copy the growing int each time."""
-    if len(members) == 1:
-        return 1 << members[0]
+def members_mask(members: list[int]) -> int:
+    """The mask of the vertex indices ``members`` (any order; repeats and
+    none allowed).  Each ``|=`` copies the growing int, so from 64 members
+    on the mask is read from one digit string over their index span."""
+    if len(members) < 64:
+        mask = 0
+        for i in members:
+            mask |= 1 << i
+        return mask
     lo, hi = min(members), max(members)
     digits = bytearray(b"0") * (hi - lo + 1)
     for i in members:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from . import _kernel
 from .closures import breaking_capable_mask, breaking_counts, hs_closure
 from .errors import InvariantViolation
 from .graph import INFINITE_EMITTER, SINK, Graph, condense, per_graph, to_text
@@ -140,9 +141,7 @@ def _classify_masks(g: Graph) -> Classification:
     p_prime = p_ppi & ~p_pec
     p_K = full & ~g.reaching(one)
     breaking = breaking_counts(g, p_K)
-    p_ex = p_K
-    for i, _ in breaking:
-        p_ex |= 1 << i
+    p_ex = p_K | _kernel.members_mask([i for i, _ in breaking])
     cond_K = not one
     # a cycle without exits is a non-trivial SCC with no bifurcation
     cond = condense(g)

@@ -186,7 +186,7 @@ def breaking_capable_mask(g: Graph) -> int:
     on, not what poisons proper infiniteness.)
     """
     out, succ = g.out_table, g.successors
-    found = 0
+    found = []
     for i in g.indices_of(g.kind_mask(INFINITE_EMITTER)):
         omega = finite = 0
         for b, t in zip(out[i], succ[i]):
@@ -195,8 +195,8 @@ def breaking_capable_mask(g: Graph) -> int:
             else:
                 finite |= 1 << t
         if finite & ~g.tree_mask(omega):
-            found |= 1 << i
-    return found
+            found.append(i)
+    return _kernel.members_mask(found)
 
 
 def breaking_capable(g: Graph) -> tuple[str, ...]:

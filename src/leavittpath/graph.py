@@ -114,24 +114,22 @@ def per_graph(fn):
 _bundle_id = attrgetter("id")
 
 
-def _raise_duplicate(vertices, bundles):
-    """Name the first id, vertices then bundles, that repeats an earlier one."""
+def _raise_invalid(vertices, bundles):
+    """Name the first fault ``Graph`` found: a repeated id (vertices, then
+    bundles), else the first bundle, in input order, with a dangling
+    endpoint or an invalid multiplicity."""
     seen = set()
     for i in [*vertices, *map(_bundle_id, bundles)]:
         if i in seen:
             raise GraphValidationError(f"duplicate id '{i}'")
         seen.add(i)
-
-
-def _raise_invalid_bundle(index, bundles):
-    """Name the first bundle, in input order, with a dangling endpoint or an
-    invalid multiplicity."""
+    declared = set(vertices)
     for b in bundles:
-        if b.source not in index:
+        if b.source not in declared:
             raise GraphValidationError(
                 f"bundle '{b.id}' has dangling source '{b.source}'"
             )
-        if b.target not in index:
+        if b.target not in declared:
             raise GraphValidationError(
                 f"bundle '{b.id}' has dangling target '{b.target}'"
             )
@@ -153,50 +151,46 @@ class Graph:
     def __init__(self, vertices, bundles=()):
         vs = list(vertices)
         bs = list(bundles)
-        ids = set(vs)
-        ids.update(map(_bundle_id, bs))
-        if len(ids) != len(vs) + len(bs):
-            _raise_duplicate(vs, bs)
         self._vertices = verts = tuple(sorted(vs))
         self._bundles = tuple(sorted(bs, key=_bundle_id))
         self._index = index = dict(zip(verts, range(len(verts))))
+        self._by_id = by_id = dict(zip(map(_bundle_id, self._bundles), self._bundles))
         self._full = (1 << len(verts)) - 1
-        # one pass over the bundles, each unpacked once, fills the per-index
-        # tables; a dangling endpoint fails its lookup and a bad multiplicity
-        # its test, and the ordered loop then names the first offender in
-        # input order
         out: list[list[EdgeBundle]] = [[] for _ in verts]
         succ: list[list[int]] = [[] for _ in verts]
-        emitters = 0
+        omega_sources: list[int] = []
+        # the two id tables hold each id once, so a repeat shrinks or joins
+        # them; then one pass over the bundles, each unpacked once, fills the
+        # per-index tables, where a dangling endpoint fails its lookup and a
+        # bad multiplicity its test.  The ordered finder names the first fault.
         try:
+            if len(index) + len(by_id) != len(vs) + len(bs) or index.keys() & by_id:
+                raise ValueError
             for b in self._bundles:
                 _, source, target, mult = b
                 s = index[source]
                 if mult is OMEGA:
-                    emitters |= 1 << s
+                    omega_sources.append(s)
                 elif not isinstance(mult, int) or mult < 1:
                     raise ValueError
                 out[s].append(b)
                 succ[s].append(index[target])
         except (KeyError, ValueError):
-            _raise_invalid_bundle(index, bs)
-        sinks = bifurcations = 0
-        for i, lst in enumerate(out):
-            if not lst:
-                sinks |= 1 << i
-            # ω, two bundles, or one bundle of multiplicity k >= 2
-            elif len(lst) > 1 or lst[0].mult != 1:
-                bifurcations |= 1 << i
+            _raise_invalid(vs, bs)
         self._out = tuple(map(tuple, out))
         self._succ = tuple(map(tuple, succ))
-        # tables that only some callers read, built on their first call
-        self._in = self._kinds = self._by_id = self._targets = None
+        mask = _kernel.members_mask
+        sinks = mask([i for i, lst in enumerate(out) if not lst])
+        emitters = mask(omega_sources)
         self._kind_masks = {
             SINK: sinks,
             REGULAR: self._full & ~sinks & ~emitters,
             INFINITE_EMITTER: emitters,
         }
-        self._bifurcations = bifurcations
+        # ω, two bundles, or one bundle of multiplicity k >= 2
+        self._bifurcations = mask(
+            [i for i, lst in enumerate(out) if len(lst) > 1 or lst and lst[0].mult != 1]
+        )
         self._memo: dict = {}
 
     # -- basic accessors ---------------------------------------------------
@@ -216,44 +210,23 @@ class Graph:
         for v in vs:
             self.index(v)
 
-    def _bundle_table(self) -> dict[str, EdgeBundle]:
-        by_id = self._by_id
-        if by_id is None:
-            bs = self._bundles
-            by_id = self._by_id = dict(zip(map(_bundle_id, bs), bs))
-        return by_id
-
     def bundle(self, eid: str) -> EdgeBundle:
         try:
-            return self._bundle_table()[eid]
+            return self._by_id[eid]
         except KeyError:
             raise GraphValidationError(f"unknown bundle id '{eid}'") from None
 
     def has_bundle(self, eid: str) -> bool:
-        return eid in self._bundle_table()
+        return eid in self._by_id
 
     def out_bundles(self, v: str) -> tuple[EdgeBundle, ...]:
         return self._out[self.index(v)]
 
     def in_bundles(self, v: str) -> tuple[EdgeBundle, ...]:
-        inc = self._in
-        if inc is None:
-            lists: list[list[EdgeBundle]] = [[] for _ in self._vertices]
-            for b in self._bundles:
-                lists[self._index[b.target]].append(b)
-            inc = self._in = tuple(map(tuple, lists))
-        return inc[self.index(v)]
+        return _in_table(self)[self.index(v)]
 
     def kind(self, v: str) -> str:
-        kinds = self._kinds
-        if kinds is None:
-            kinds = self._kinds = tuple(
-                SINK if not out
-                else INFINITE_EMITTER if any(b.mult is OMEGA for b in out)
-                else REGULAR
-                for out in self._out
-            )
-        return kinds[self.index(v)]
+        return _kind_table(self)[self.index(v)]
 
     def is_regular(self, v: str) -> bool:
         return self.kind(v) == REGULAR
@@ -263,13 +236,7 @@ class Graph:
 
     def targets(self, v: str) -> tuple[str, ...]:
         """Distinct targets of v's out-bundles, sorted."""
-        targets = self._targets
-        if targets is None:
-            name = self._vertices.__getitem__
-            targets = self._targets = tuple(
-                tuple(map(name, sorted(set(ts)))) for ts in self._succ
-            )
-        return targets[self.index(v)]
+        return _target_table(self)[self.index(v)]
 
     # -- the integer view ---------------------------------------------------
 
@@ -360,6 +327,33 @@ class Graph:
         return f"Graph({len(self._vertices)} vertices, {len(self._bundles)} bundles)"
 
 
+# the tables that only some callers of ``Graph`` read
+
+
+@per_graph
+def _in_table(g: Graph) -> tuple[tuple[EdgeBundle, ...], ...]:
+    lists: list[list[EdgeBundle]] = [[] for _ in g.vertices]
+    for b in g.bundles:
+        lists[g._index[b.target]].append(b)
+    return tuple(map(tuple, lists))
+
+
+@per_graph
+def _kind_table(g: Graph) -> tuple[str, ...]:
+    return tuple(
+        SINK if not out
+        else INFINITE_EMITTER if any(b.mult is OMEGA for b in out)
+        else REGULAR
+        for out in g.out_table
+    )
+
+
+@per_graph
+def _target_table(g: Graph) -> tuple[tuple[str, ...], ...]:
+    name = g.vertices.__getitem__
+    return tuple(tuple(map(name, sorted(set(ts)))) for ts in g.successors)
+
+
 class Condensation(namedtuple("Condensation", "scc_of masks dag internal order")):
     """SCC partition of a graph plus its component DAG.
 
@@ -436,9 +430,10 @@ def parse_graph(text: str) -> Graph:
     for ω.  k is written in ASCII digits.
 
     One pass splits the lines into vertex ids and bundles, reading each
-    multiplicity; the ids are then checked once, as sets.  A text that
-    fails either goes to ``_raise_first_error``, which names its first
-    fault with the line and column.
+    multiplicity; the ids are then checked as ASCII identifiers that are no
+    keyword, and ``Graph`` finds a repeated id or an undeclared endpoint.  A
+    text that fails any of these goes to ``_raise_first_error``, which names
+    its first fault with the line and column.
     """
     lines = text.splitlines()
     vertices: list[str] = []
@@ -472,20 +467,17 @@ def parse_graph(text: str) -> Graph:
     except ValueError:
         _raise_first_error(lines)
 
-    declared = set(vertices)
-    eids, sources, targets, _ = zip(*bundles) if bundles else ((),) * 4
-    ids = set(eids)
-    if not (
-        len(declared) == len(vertices) and len(ids) == len(eids)
-        and declared.isdisjoint(ids)
-        and declared.issuperset(sources) and declared.issuperset(targets)
-        and _KEYWORDS.isdisjoint(declared) and _KEYWORDS.isdisjoint(ids)
-        and all(map(str.isidentifier, declared)) and all(map(str.isidentifier, ids))
+    ids = [*vertices, *map(_bundle_id, bundles)]
+    if (
+        all(map(str.isidentifier, ids)) and _KEYWORDS.isdisjoint(ids)
         # a non-ASCII character may sit in a comment or between two ids
-        and (text.isascii() or all(map(str.isascii, declared | ids)))
+        and (text.isascii() or all(map(str.isascii, ids)))
     ):
-        _raise_first_error(lines)
-    return Graph(vertices, bundles)
+        try:
+            return Graph(vertices, bundles)
+        except GraphValidationError:  # a repeated id or an undeclared endpoint
+            pass
+    _raise_first_error(lines)
 
 
 def _raise_first_error(lines: list[str]):
@@ -614,8 +606,13 @@ def parse_instance(g: Graph, token: str) -> tuple[EdgeBundle, int]:
     """Resolve an edge-instance token ("e" or "e[i]") to (bundle, index).
 
     Multiplicity-1 bundles accept both "e" and "e[1]"; larger bundles require
-    an explicit index.  ω-bundles are rejected.
+    an explicit index.  ω-bundles are rejected.  A token that is itself the
+    id of a multiplicity-1 bundle names it, brackets and all (a hedgehog's
+    bar edge ``bar:e[1]``).
     """
+    b = g._by_id.get(token)
+    if b is not None and b.mult == 1:
+        return b, 1
     m = _INSTANCE_RE.match(token)
     if not m:
         raise GraphValidationError(f"malformed edge instance '{token}'")

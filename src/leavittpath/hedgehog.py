@@ -140,13 +140,14 @@ def _count_paths(route, depth_limit) -> tuple[int, int]:
     return paths, edges
 
 
-def _enumerate_paths(route, depth_limit) -> list[tuple[str, ...]]:
-    """All admissible F-paths as instance-id tuples (ω-free, depth-capped).
+def _enumerate_paths(route, depth_limit) -> list[tuple[tuple[str, ...], str]]:
+    """All admissible F-paths as (instance-id tuple, range) pairs (ω-free,
+    depth-capped).
 
     Deterministic order: starts sorted, bundles by id, instances by index.
     """
     _, usable, mid_from, final_from = route
-    out: list[tuple[str, ...]] = []
+    out: list[tuple[tuple[str, ...], str]] = []
 
     def visit(u: str, prefix: list[str]):
         """Emit ``prefix`` plus each final instance leaving u; return the
@@ -155,7 +156,7 @@ def _enumerate_paths(route, depth_limit) -> list[tuple[str, ...]]:
             return iter(())
         for b in final_from.get(u, ()):
             for inst in b.instances:
-                out.append((*prefix, inst))
+                out.append(((*prefix, inst), b.target))
         return iter(
             [(inst, b.target) for b in mid_from.get(u, ()) for inst in b.instances]
         )
@@ -200,18 +201,16 @@ def build_hedgehog(g: Graph, H, S, depth_limit: int = 6) -> HedgehogGraph:
             f"with at least {edges} edges in all; at most {MAX_PATH_EDGES} "
             "edges are listed"
         )
-    paths = [p for route in routes for p in _enumerate_paths(route, cap)]
-    table = {path_vertex_name(p): p for p in paths}
+    found = [path for route in routes for path in _enumerate_paths(route, cap)]
+    paths = {path_vertex_name(p): (p, target) for p, target in found}
+    table = {name: p for name, (p, _) in paths.items()}
     vertices = sorted(hset | sset | set(table))
     bundles = [b for b in g.bundles if b.source in hset]
     bundles += [
         b for b in g.bundles if b.source in sset and b.target in hset
     ]
-    for name, p in sorted(table.items()):
-        last_bundle = g.bundle(p[-1].split("[", 1)[0])
-        bundles.append(
-            EdgeBundle("bar:" + name[2:], name, last_bundle.target, 1)
-        )
+    for name, (_, target) in sorted(paths.items()):
+        bundles.append(EdgeBundle("bar:" + name[2:], name, target, 1))
     return HedgehogGraph(
         base=Graph(vertices, bundles),
         H=tuple(sorted(hset)),

@@ -34,6 +34,23 @@ def test_path_instances_multiply():
     assert any(b.id == "l" for b in hh.base.bundles)
 
 
+def test_hedgehog_of_a_hedgehog_reads_bracketed_bar_edges():
+    # the base's bar edges are named bar:e[1] and bar:e[2]: each path's range
+    # comes with the path, not from its last id cut at "["
+    g = parse_graph("vertices u h\nedge e u h x2\nedge l h h x2\n")
+    base = build_hedgehog(g, ("h",), ()).base
+    hh = build_hedgehog(base, ("h",), ())
+    assert hh.finite
+    assert hh.path_vertex_table == {
+        "p:bar:e[1]": ("bar:e[1]",),
+        "p:bar:e[2]": ("bar:e[2]",),
+    }
+    bar = {b.id: b for b in hh.base.bundles}
+    assert sorted(bar) == ["bar:bar:e[1]", "bar:bar:e[2]", "l"]
+    assert bar["bar:bar:e[1]"].source == "p:bar:e[1]"
+    assert bar["bar:bar:e[1]"].target == "h"
+
+
 def test_infinite_hedgehog_is_truncated():
     g = fixture_graph("chain3sink")
     hh = build_hedgehog(g, ("v2", "v3"), (), depth_limit=3)

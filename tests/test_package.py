@@ -133,6 +133,115 @@ def test_tracer_required_name_resolves(name):
     assert fn.__module__ == f"leavittpath.{module}", name
 
 
+def _scope_nodes(scope):
+    """The nodes of ``scope`` outside the functions and classes nested in it
+    (those themselves included)."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _dotted(node):
+    """``a.b.c`` of an attribute chain on a plain name, else None."""
+    attrs = []
+    while isinstance(node, ast.Attribute):
+        attrs.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(attrs)]) if isinstance(node, ast.Name) else None
+
+
+def _benchmark_references():
+    """Each ``leavittpath`` name lpabench imports, or reads as an attribute
+    of an imported ``leavittpath`` name (or of a plain alias of one), mapped
+    to the "file:line" places that use it."""
+    found: dict[str, list[str]] = {}
+
+    def visit(path, scope, bound):
+        nodes = list(_scope_nodes(scope))
+        bound = dict(bound)
+
+        def use(name, node):
+            found.setdefault(name, []).append(f"{path.name}:{node.lineno}")
+
+        for node in nodes:
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    if a.name.split(".")[0] == "leavittpath":
+                        use(a.name, node)
+                        if a.asname:
+                            bound[a.asname] = a.name
+                        else:  # `import leavittpath.cli` binds leavittpath
+                            bound["leavittpath"] = "leavittpath"
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and (
+                node.module.split(".")[0] == "leavittpath"
+            ):
+                for a in node.names:
+                    use(f"{node.module}.{a.name}", node)
+                    bound[a.asname or a.name] = f"{node.module}.{a.name}"
+
+        def resolve(node):
+            dotted = _dotted(node)
+            root, _, rest = (dotted or "").partition(".")
+            if root in bound:
+                return bound[root] + (f".{rest}" if rest else "")
+            return None
+
+        for node in nodes:  # E = terms.AlgebraElement
+            if isinstance(node, ast.Assign) and len(node.targets) == 1 and (
+                isinstance(node.targets[0], ast.Name)
+            ):
+                full = resolve(node.value)
+                if full is not None:
+                    bound[node.targets[0].id] = full
+        for node in nodes:
+            full = resolve(node) if isinstance(node, ast.Attribute) else None
+            if full is not None:
+                use(full, node)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(path, node, bound)
+
+    for path in sorted((ROOT / "lpabench").glob("*.py")):
+        visit(path, ast.parse(path.read_text(encoding="utf-8")), {})
+    return {name: sorted(set(places)) for name, places in sorted(found.items())}
+
+
+BENCHMARK_REFERENCES = _benchmark_references()
+
+
+def test_benchmark_references_are_found():
+    assert {
+        "leavittpath.cli.report_payload",
+        "leavittpath.closures.breaking_vertices",
+        "leavittpath.selftest.check_graph",
+        "leavittpath.terms.AlgebraElement.edge",
+        "leavittpath.graph.to_text",
+    } <= BENCHMARK_REFERENCES.keys()
+    # phases.py's local dict named `closures` is not the module
+    assert "leavittpath.closures.items" not in BENCHMARK_REFERENCES
+
+
+@pytest.mark.parametrize("name", BENCHMARK_REFERENCES)
+def test_benchmark_reference_resolves(name):
+    # the benchmark runs the program through these names; one renamed away
+    # breaks only the benchmark, so it is caught here
+    where = ", ".join(BENCHMARK_REFERENCES[name])
+    parts = name.split(".")
+    k = len(parts)
+    while True:  # the longest importable module prefix, then attributes
+        try:
+            obj = importlib.import_module(".".join(parts[:k]))
+            break
+        except ModuleNotFoundError:
+            k -= 1
+            assert k, f"{name} ({where})"
+    for attr in parts[k:]:
+        assert hasattr(obj, attr), f"{name} ({where})"
+        obj = getattr(obj, attr)
+
+
 # -- value classes -------------------------------------------------------------
 
 

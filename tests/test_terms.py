@@ -6,6 +6,7 @@ from leavittpath import (
     AlgebraElement,
     ExpressionError,
     GraphValidationError,
+    build_hedgehog,
     format_element,
     graded_components,
     parse_element,
@@ -123,6 +124,19 @@ def test_parse_instance_indexing():
     g = parse_graph("vertices v\nedge e v v x2\n")
     assert parse_element(g, "e[1]* e[2]").is_zero()
     assert parse_element(g, "e[1]* e[1]") == V(g, "v")
+
+
+def test_edges_of_a_hedgehog_base_are_addressable():
+    # a multiplicity-1 bundle whose id holds brackets is named by its id
+    g = parse_graph("vertices u h\nedge e u h x2\nedge l h h x2\n")
+    base = build_hedgehog(g, ("h",), ()).base
+    bar = E(base, "bar:e[1]")
+    assert G(base, "bar:e[1]") * bar == V(base, "h")
+    assert bar * G(base, "bar:e[1]") == V(base, "p:e[1]")
+    assert (G(base, "bar:e[2]") * bar).is_zero()
+    assert E(base, "l[2]") == AlgebraElement.edge(base, "l[2]")
+    with pytest.raises(GraphValidationError, match="unknown bundle id 'bar:e'"):
+        E(base, "bar:e[3]")
 
 
 def test_parse_errors():
