@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from . import _kernel
 from .classify import _classify_masks, classify
 from .closures import breaking_vertices, density_witnesses, hs_closure
 from .errors import GraphValidationError, InvariantViolation
@@ -73,57 +74,61 @@ class CycleClass(
 def pi_decomposition(g: Graph) -> tuple[CycleClass, ...]:
     """Split the purely infinite part into direct summands (memoized).
 
-    Each non-trivial terminal SCC inside P_pec is one simple class.  The
-    non-trivial SCCs inside P′ are grouped by symmetrized reachability,
-    closed transitively: two SCCs land together when a chain of
-    one-way-connected SCCs joins them.  Working per SCC is sound because
-    all cycles within one SCC are mutually connected.  The classes' trees
-    must be pairwise disjoint; an overlap raises ``InvariantViolation``.
+    Each non-trivial terminal SCC inside P_pec is one simple class, its own
+    tree.  The non-trivial SCCs inside P′ (the seeds) are grouped by
+    symmetrized reachability, closed transitively.  These classes are the
+    weak components of U = T(seeds), and each component is its class's
+    tree (docs/design-notes.md, "Cycle classes"), so the trees are disjoint
+    by construction.  A P_pec vertex outside every simple class, or in U,
+    raises ``InvariantViolation``.
     """
     masks = _classify_masks(g)
     pec, prime = masks.p_pec, masks.p_prime
     cond = condense(g)
-    reach = g.reach_masks()
-    # (kind, member SCCs, vertex mask, tree mask) per class
-    found: list[tuple[str, tuple[int, ...], int, int]] = []
-
-    pec_cover = 0
+    classes, pec_cover = [], 0
     for i, mask in enumerate(cond.masks):
         if cond.internal[i] and not cond.dag[i] and not mask & ~pec:
-            found.append(("Pec", (i,), mask, reach[i]))
+            vs = g.set_of(mask)  # a terminal SCC is its own tree
+            classes.append(CycleClass("Pec", (i,), vs, vs, PEC_LABEL))
             pec_cover |= mask
     if pec_cover != pec:
         raise InvariantViolation(
             "P_pec is not covered by its terminal cycle classes", to_text(g)
         )
 
-    # (member SCCs, vertex mask, tree mask) per P′ class; each SCC merges
-    # the classes it reaches or that reach it
-    groups: list[tuple[tuple[int, ...], int, int]] = []
-    for i, mask in enumerate(cond.masks):
-        if not cond.internal[i] or mask & ~prime:
-            continue
-        sccs, tree = (i,), reach[i]
-        for other in [o for o in groups if o[2] & mask or tree & o[1]]:
-            groups.remove(other)
-            sccs = tuple(sorted(other[0] + sccs))
-            mask, tree = mask | other[1], tree | other[2]
-        groups.append((sccs, mask, tree))
-    # component ids follow the smallest member vertex, so sorting by member
-    # SCCs orders the classes by their vertices
-    found += [("Pprime", *group) for group in sorted(groups)]
-
-    classes = []
-    seen = 0
-    for kind, sccs, mask, tree in found:
-        if tree & seen:
-            raise InvariantViolation(
-                f"cycle-class trees overlap at '{g.set_of(tree & seen)[0]}'",
-                to_text(g),
-            )
-        seen |= tree
-        label = PEC_LABEL if kind == "Pec" else PPRIME_LABEL
-        classes.append(CycleClass(kind, sccs, g.set_of(mask), g.set_of(tree), label))
+    seeds = [i for i, m in enumerate(cond.masks) if cond.internal[i] and not m & ~prime]
+    if not seeds:
+        return tuple(classes)
+    # walk U = T(seeds), seeds first, linking each DAG edge both ways
+    u, links = list(seeds), [[] for _ in seeds]
+    at = {c: j for j, c in enumerate(seeds)}
+    for j, c in enumerate(u):
+        for d in cond.dag[c]:
+            if d not in at:
+                at[d] = len(u)
+                u.append(d)
+                links.append([])
+            links[j].append(at[d])
+            links[at[d]].append(j)
+    component = _kernel.scc_labels(links)[0]
+    trees = [0] * len(u)
+    for c, label in zip(u, component):
+        trees[label] |= cond.masks[c]
+    members: dict[int, list[int]] = {}  # in order of the smallest seed
+    for c, label in zip(seeds, component):
+        members.setdefault(label, []).append(c)
+    covered = sum(trees)  # the trees are disjoint
+    if covered & pec:
+        raise InvariantViolation(
+            f"cycle-class trees overlap at '{g.set_of(covered & pec)[0]}'", to_text(g)
+        )
+    classes += [
+        CycleClass(
+            "Pprime", tuple(sccs), g.set_of(sum(cond.masks[c] for c in sccs)),
+            g.set_of(trees[label]), PPRIME_LABEL,
+        )
+        for label, sccs in members.items()
+    ]
     return tuple(classes)
 
 

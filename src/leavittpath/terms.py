@@ -116,11 +116,6 @@ def _out_instances(g: Graph, v: str) -> tuple[str, ...]:
     return tuple(inst for inst, _ in _instance_table(g)[v])
 
 
-def special_edge(g: Graph, v: str) -> str:
-    """γ(v): the canonical first edge instance leaving v."""
-    return _out_instances(g, v)[0]
-
-
 def _normalize_monomial(table: _InstanceTable, m: Monomial, c, acc: dict) -> None:
     """CK2-rewrite m into normal-form terms, accumulating into acc."""
     work = [(m, c)]
@@ -319,7 +314,7 @@ def v_H_element(g: Graph, v: str, H) -> AlgebraElement:
     bset = breaking_vertices(g, H)
     if v not in bset.members:
         raise GraphValidationError(f"'{v}' is not a breaking vertex of H")
-    hset = set(_members(H))
+    hset = set(H)
     terms = {Monomial((), (), v): 1}
     for b in g.out_bundles(v):
         if b.mult is OMEGA or b.target in hset:
@@ -327,12 +322,6 @@ def v_H_element(g: Graph, v: str, H) -> AlgebraElement:
         for inst in b.instances:
             terms[Monomial((inst,), (inst,), b.target)] = -1
     return AlgebraElement(g, terms, _normalized=True)
-
-
-def _members(X):
-    if hasattr(X, "members"):
-        return X.members
-    return tuple(X)
 
 
 # -- rendering ---------------------------------------------------------------

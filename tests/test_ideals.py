@@ -2,6 +2,7 @@ import pytest
 
 from leavittpath import (
     GraphValidationError,
+    classify,
     descriptor_leq,
     ideal_descriptor,
     is_purely_infinite_ideal,
@@ -117,6 +118,64 @@ def test_pi_decomposition_absorbs_dominated_extreme_cycle():
         ("Pprime", ("a", "b"))
     ]
     assert classes[0].tree == ("a", "b")
+
+
+def test_pi_decomposition_joins_loops_through_a_shared_descendant():
+    # a and b reach neither other; their common doubled-loop descendant c
+    # chains them into one class
+    g = parse_graph(
+        "vertices a b c\nedge a1 a a x2\nedge b1 b b x2\nedge c1 c c x2\n"
+        "edge f a c\nedge h b c\n"
+    )
+    classes = pi_decomposition(g)
+    assert [(c.kind, c.member_sccs, c.class_vertices, c.tree) for c in classes] == [
+        ("Pprime", (0, 1, 2), ("a", "b", "c"), ("a", "b", "c"))
+    ]
+
+
+def test_pi_decomposition_keeps_a_trivial_vertex_above_two_loops_out():
+    # u lies on no cycle: it puts a and b in P′ but joins no classes, and
+    # no class tree holds it
+    g = parse_graph(
+        "vertices u a b\nedge a1 a a x2\nedge b1 b b x2\nedge f u a\nedge h u b\n"
+    )
+    classes = pi_decomposition(g)
+    assert "u" in classify(g).p_prime
+    assert [(c.kind, c.class_vertices, c.tree) for c in classes] == [
+        ("Pprime", ("a",), ("a",)),
+        ("Pprime", ("b",), ("b",)),
+    ]
+
+
+def _pairs_text(k):
+    """k doubled loops a_i, each with an edge into its own doubled loop b_i."""
+    lines = [f"vertices {' '.join(f'a{i} b{i}' for i in range(k))}"]
+    for i in range(k):
+        lines += [f"edge l{i} a{i} a{i} x2", f"edge m{i} b{i} b{i} x2",
+                  f"edge f{i} a{i} b{i}"]
+    return "\n".join(lines) + "\n"
+
+
+def _fan_text(k):
+    """k sources into one hub, which feeds k doubled loops."""
+    lines = [f"vertices h {' '.join(f's{i} c{i}' for i in range(k))}"]
+    for i in range(k):
+        lines += [f"edge f{i} s{i} h", f"edge g{i} h c{i}", f"edge l{i} c{i} c{i} x2"]
+    return "\n".join(lines) + "\n"
+
+
+def test_pi_decomposition_pairs_and_fan_give_one_class_per_pair_or_loop():
+    k = 200
+    pairs = pi_decomposition(parse_graph(_pairs_text(k)))
+    assert len(pairs) == k
+    assert {(c.kind, c.class_vertices, c.tree) for c in pairs} == {
+        ("Pprime", (f"a{i}", f"b{i}"), (f"a{i}", f"b{i}")) for i in range(k)
+    }
+    fan = pi_decomposition(parse_graph(_fan_text(k)))
+    assert len(fan) == k
+    assert {(c.kind, c.class_vertices, c.tree) for c in fan} == {
+        ("Pprime", (f"c{i}",), (f"c{i}",)) for i in range(k)
+    }
 
 
 def test_report_six():

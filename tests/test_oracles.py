@@ -22,6 +22,7 @@ from leavittpath import (
     is_hereditary,
     is_saturated,
     parse_graph,
+    pi_decomposition,
     properly_infinite,
     reachable,
     saturate_once,
@@ -293,6 +294,14 @@ def test_csp_and_cycle_sets_match_oracles_with_omega():
         )
         assert c.p_ppi == p_ppi_oracle(g), to_text(g)
         assert c.p_ex == p_ex_oracle(g), to_text(g)
+        # each P′ class is the oracle's, and its tree is T(class vertices)
+        prime = [cl for cl in pi_decomposition(g) if cl.kind == "Pprime"]
+        assert [frozenset(cl.class_vertices) for cl in prime] == list(
+            pprime_classes_oracle(g, c.p_prime)
+        ), to_text(g)
+        for cl in prime:
+            tree = set().union(*(reach[v] for v in cl.class_vertices))
+            assert cl.tree == tuple(sorted(tree)), to_text(g)
 
 
 def _saturate_once_by_definition(g, X):
