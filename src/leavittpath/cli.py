@@ -257,15 +257,39 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _terminal_columns() -> int:
+    """``shutil.get_terminal_size().columns``, read without importing
+    shutil: COLUMNS if a positive int, else the width of the terminal on
+    stdout, else 80."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns > 0:
+        return columns
+    try:
+        columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+    except (AttributeError, ValueError, OSError):
+        columns = 0
+    return columns or 80
+
+
+def _help_formatter(prog: str) -> argparse.HelpFormatter:
+    # argparse's default width imports shutil, and with it bz2, lzma and
+    # fnmatch, on every add_argument; the width it computes is the same
+    return argparse.HelpFormatter(prog, width=_terminal_columns() - 2)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lpa",
         description="Path-algebra analysis of directed graphs with ω-bundles",
+        formatter_class=_help_formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, help_line):
-        p = sub.add_parser(name, help=help_line)
+        p = sub.add_parser(name, help=help_line, formatter_class=_help_formatter)
         p.set_defaults(func=fn)
         return p
 

@@ -12,7 +12,6 @@ Everything here is immutable after construction and safe to share.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 import re
 from collections import namedtuple
@@ -21,6 +20,16 @@ from operator import attrgetter
 
 from . import _kernel
 from .errors import GraphSyntaxError, GraphValidationError
+
+# hashlib loads OpenSSL, which costs a fresh `lpa` more than the one digest it
+# computes; CPython's random.py takes sha512 from the built-in module alike
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 
 class _Omega:
@@ -389,15 +398,12 @@ def condense(g: Graph) -> Condensation:
     internal = [0] * ncomp
     dag_sets: list[set[int]] = [set() for _ in range(ncomp)]
     for c, ts, out in zip(labels, succ, g.out_table):
-        comps = list(map(labels.__getitem__, ts))
-        dag_sets[c].update(comps)
-        # the edges back into c are the component's internal edges
-        if c in comps:
-            for b, d in zip(out, comps):
-                if d == c:
-                    internal[c] += math.inf if b.mult is OMEGA else b.mult
-    for c, targets in enumerate(dag_sets):
-        targets.discard(c)
+        for b, t in zip(out, ts):
+            d = labels[t]
+            if d != c:
+                dag_sets[c].add(d)
+            else:  # an edge back into c is one of the component's own
+                internal[c] += math.inf if b.mult is OMEGA else b.mult
     return Condensation(
         scc_of=tuple(labels),
         masks=tuple(masks),
@@ -575,7 +581,7 @@ def to_text(g: Graph) -> str:
 
 def graph_digest(g: Graph) -> str:
     """sha256 hex digest of the canonical serialization."""
-    return hashlib.sha256(to_text(g).encode("utf-8")).hexdigest()
+    return sha256(to_text(g).encode("utf-8")).hexdigest()
 
 
 def _dot_quote(s: str) -> str:

@@ -110,12 +110,6 @@ def _instance_table(g: Graph) -> _InstanceTable:
     return _InstanceTable(g)
 
 
-def _out_instances(g: Graph, v: str) -> tuple[str, ...]:
-    """Edge instances leaving the Regular vertex v, in canonical order
-    (out-bundles are kept in id order)."""
-    return tuple(inst for inst, _ in _instance_table(g)[v])
-
-
 def _normalize_monomial(table: _InstanceTable, m: Monomial, c, acc: dict) -> None:
     """CK2-rewrite m into normal-form terms, accumulating into acc."""
     work = [(m, c)]

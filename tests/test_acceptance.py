@@ -39,7 +39,7 @@ from leavittpath.selftest import (
     check_maximality,
     check_oracles,
 )
-from leavittpath.terms import AlgebraElement, _out_instances
+from leavittpath.terms import AlgebraElement, _instance_table
 
 from conftest import FIXTURE_NAMES, fixture_graph, fixture_path
 
@@ -205,7 +205,7 @@ def _check_relations(g):
         if g.kind(v) != "Regular":
             continue
         acc = zero
-        for t in _out_instances(g, v):
+        for t, _ in _instance_table(g)[v]:
             acc = acc + E[t] * Gh[t]
         assert acc == V[v]
 

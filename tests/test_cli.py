@@ -1,8 +1,10 @@
+import argparse
 import itertools
 import json
 import os
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
 
@@ -439,3 +441,40 @@ def test_help_and_usage_errors_are_byte_identical(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", str(USAGE_GOLDEN["columns"]))
     for case in USAGE_GOLDEN["cases"]:
         assert usage_bytes(capsys, case["argv"]) == case
+
+
+def _fake_terminal(size):
+    def get_terminal_size(fd):
+        if size is None:
+            raise OSError("not a terminal")
+        return os.terminal_size(size)
+
+    return get_terminal_size
+
+
+@pytest.mark.parametrize("columns", [None, "80", "132", "0", "-5", "abc"])
+@pytest.mark.parametrize("terminal", ["real", "wide", "zero", "none", "no stdout"])
+def test_help_width_follows_shutils_rule(monkeypatch, columns, terminal):
+    # the parser reads its width without importing shutil, by shutil's rule
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    if terminal == "no stdout":
+        monkeypatch.setattr(sys, "__stdout__", None)
+    elif terminal != "real":
+        size = {"wide": (100, 30), "zero": (0, 0), "none": None}[terminal]
+        monkeypatch.setattr(os, "get_terminal_size", _fake_terminal(size))
+    assert cli._terminal_columns() == shutil.get_terminal_size().columns
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "132"])
+def test_help_is_laid_out_as_by_argparses_default_width(capsys, monkeypatch, columns):
+    # COLUMNS is read by each parser built, not once per process
+    monkeypatch.setenv("COLUMNS", columns)
+    commands = ("validate", "classify", "closure", "hedgehog", "report", "eval",
+                "dot", "selftest")
+    argvs = [["--help"], [], ["report"], *([c, "--help"] for c in commands)]
+    ours = [usage_bytes(capsys, argv) for argv in argvs]
+    monkeypatch.setattr(cli, "_help_formatter", argparse.HelpFormatter)
+    assert [usage_bytes(capsys, argv) for argv in argvs] == ours

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import tracemalloc
@@ -232,6 +233,13 @@ def test_digest_is_stable_under_reordering():
     a = parse_graph("vertices v w\nedge e v w\nedge f w v\n")
     b = parse_graph("vertices w v\nedge f w v\nedge e v w\n")
     assert graph_digest(a) == graph_digest(b)
+
+
+def test_digest_is_the_sha256_of_the_canonical_text():
+    # graph_digest takes sha256 from CPython's built-in module, not hashlib
+    for g in [*map(fixture_graph, FIXTURE_NAMES), *random_graphs(300, seed=19)]:
+        text = to_text(g).encode("utf-8")
+        assert graph_digest(g) == hashlib.sha256(text).hexdigest()
 
 
 def test_reachable():

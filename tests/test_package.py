@@ -48,6 +48,9 @@ NOT_LOADED_BY_CLI = (
     "leavittpath.selftest",
     "leavittpath.oracles",
     "leavittpath.random_graphs",
+    "shutil",  # argparse's default help width
+    "hashlib",  # loads OpenSSL; the digest takes the built-in sha256
+    "_hashlib",
 )
 
 
@@ -67,6 +70,25 @@ def test_cli_import_loads_only_what_every_subcommand_needs():
     loaded = fresh_python("import leavittpath.cli; print(*sys.modules)").split()
     assert "leavittpath.cli" in loaded
     assert set(NOT_LOADED_BY_CLI).isdisjoint(loaded)
+
+
+@pytest.mark.parametrize("command", ["report", "classify"])
+def test_a_fresh_command_loads_neither_shutil_nor_hashlib(command):
+    path = str(ROOT / "fixtures" / "six.lpa")
+    out = fresh_python(
+        f"sys.argv = ['lpa', {command!r}, {path!r}]\n"
+        "from leavittpath.cli import main\n"
+        "try:\n    main()\nexcept SystemExit as exc:\n    code = exc.code\n"
+        "print(code, *sys.modules)"
+    )
+    payload, modules = out.splitlines()
+    assert json.loads(payload)["payload"]
+    if command == "report":
+        golden = ROOT / "tests" / "golden" / "report_six.json"
+        assert payload == golden.read_text(encoding="utf-8").rstrip("\n")
+    code, *loaded = modules.split()
+    assert code == "0"
+    assert {"shutil", "hashlib", "_hashlib"}.isdisjoint(loaded)
 
 
 PUBLIC_NAMES_PROBE = """
