@@ -28,9 +28,6 @@ from .closures import (
     breaking_vertices,
     density_check,
     hs_closure,
-    is_hereditary,
-    is_saturated,
-    restriction_graph,
     saturate_once,
 )
 from .errors import (
@@ -48,17 +45,13 @@ from .graph import (
     condense,
     graph_digest,
     parse_graph,
-    reachable,
     to_dot,
     to_text,
 )
 
 # the modules loaded on first use, and their public names
 _LAZY = {
-    **dict.fromkeys(
-        ("hedgehog", "HedgehogGraph", "build_hedgehog", "hedgehog_is_finite"),
-        "hedgehog",
-    ),
+    **dict.fromkeys(("hedgehog", "HedgehogGraph", "build_hedgehog"), "hedgehog"),
     **dict.fromkeys(
         (
             "ideals",
@@ -67,7 +60,6 @@ _LAZY = {
             "LargestIdealsReport",
             "descriptor_leq",
             "ideal_descriptor",
-            "is_purely_infinite_ideal",
             "largest_ideals_report",
             "pi_decomposition",
         ),
@@ -137,19 +129,13 @@ __all__ = [
     "format_element",
     "graded_components",
     "graph_digest",
-    "hedgehog_is_finite",
     "hs_closure",
     "ideal_descriptor",
-    "is_hereditary",
-    "is_purely_infinite_ideal",
-    "is_saturated",
     "largest_ideals_report",
     "parse_element",
     "parse_graph",
     "pi_decomposition",
     "properly_infinite",
-    "reachable",
-    "restriction_graph",
     "saturate_once",
     "to_dot",
     "to_text",

@@ -1,7 +1,7 @@
 """Hereditary/saturated machinery.
 
-Trees, saturation, hereditary-saturated closures, breaking vertices,
-restriction graphs, and the density criterion.  Conventions:
+Trees, saturation, hereditary-saturated closures, breaking vertices, and
+the density criterion.  Conventions:
 
 * hereditary: closed under out-edges (if v is in the set, so is every
   vertex v reaches);
@@ -25,15 +25,6 @@ def _regular_targets(g: Graph) -> tuple[tuple[int, tuple[int, ...]], ...]:
     saturation."""
     succ = g.successors
     return tuple((i, succ[i]) for i in g.indices_of(g.kind_mask(REGULAR)))
-
-
-def is_hereditary(g: Graph, members) -> bool:
-    mask = g.mask_of(members)
-    return g.tree_mask(mask) == mask
-
-
-def is_saturated(g: Graph, members) -> bool:
-    return not _kernel.saturation_step(g.mask_of(members), _regular_targets(g))
 
 
 class _MemberSet:
@@ -203,16 +194,6 @@ def breaking_capable(g: Graph) -> tuple[str, ...]:
     """Vertices that break some hereditary set: ``breaking_capable_mask``
     named."""
     return g.set_of(breaking_capable_mask(g))
-
-
-def restriction_graph(g: Graph, H) -> Graph:
-    """Subgraph on the hereditary set H with all bundles sourced in H."""
-    members = set(H)
-    if not is_hereditary(g, members):
-        raise GraphValidationError("H is not hereditary")
-    return Graph(
-        sorted(members), [b for b in g.bundles if b.source in members]
-    )
 
 
 class DensityResult(namedtuple("DensityResult", "dense witnesses")):

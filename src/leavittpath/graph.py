@@ -231,9 +231,6 @@ class Graph:
     def out_bundles(self, v: str) -> tuple[EdgeBundle, ...]:
         return self._out[self.index(v)]
 
-    def in_bundles(self, v: str) -> tuple[EdgeBundle, ...]:
-        return _in_table(self)[self.index(v)]
-
     def kind(self, v: str) -> str:
         return _kind_table(self)[self.index(v)]
 
@@ -340,14 +337,6 @@ class Graph:
 
 
 @per_graph
-def _in_table(g: Graph) -> tuple[tuple[EdgeBundle, ...], ...]:
-    lists: list[list[EdgeBundle]] = [[] for _ in g.vertices]
-    for b in g.bundles:
-        lists[g._index[b.target]].append(b)
-    return tuple(map(tuple, lists))
-
-
-@per_graph
 def _kind_table(g: Graph) -> tuple[str, ...]:
     return tuple(
         SINK if not out
@@ -411,11 +400,6 @@ def condense(g: Graph) -> Condensation:
         internal=tuple(internal),
         order=tuple(order),
     )
-
-
-def reachable(g: Graph, frm) -> tuple[str, ...]:
-    """The tree T(frm): every vertex reachable from the given set (inclusive)."""
-    return g.set_of(g.tree_mask(g.mask_of(frm)))
 
 
 # -- text format -----------------------------------------------------------

@@ -48,6 +48,7 @@ def path_vertex_name(instances) -> str:
 
 def _validate(g: Graph, H, S) -> tuple[set, set]:
     hset, sset = set(H), set(S)
+    g.check_vertices(sset)
     # breaking_vertices also rejects an H that is not hereditary
     bad = sset - set(breaking_vertices(g, hset).members)
     if bad:
@@ -102,15 +103,6 @@ def _route_table(g: Graph, mid, final):
         )
     )
     return finite, usable, mid_from, final_from
-
-
-def hedgehog_is_finite(g: Graph, H, S) -> bool:
-    """Are both F-path sets finite, so the hedgehog needs no truncation?"""
-    hset, sset = _validate(g, H, S)
-    return all(
-        _route_table(g, mid, final)[0]
-        for mid, final in _route_bundles(g, hset, sset)
-    )
 
 
 def _count_paths(route, depth_limit) -> tuple[int, int]:

@@ -26,9 +26,10 @@ class GradedIdealDescriptor(namedtuple("GradedIdealDescriptor", "graph H S")):
 
 def ideal_descriptor(g: Graph, X, S=()) -> GradedIdealDescriptor:
     """Canonical descriptor of the graded ideal generated by X and {v^H: v ∈ S}."""
+    S = tuple(sorted(set(S)))
+    g.check_vertices(S)
     closure = hs_closure(g, X)
     allowed = set(breaking_vertices(g, closure).members)
-    S = tuple(sorted(set(S)))
     stray = [v for v in S if v not in allowed]
     if stray:
         raise GraphValidationError(
@@ -46,16 +47,6 @@ def descriptor_leq(a: GradedIdealDescriptor, b: GradedIdealDescriptor) -> bool:
         return False
     bs = set(b.S)
     return all(v in bs or v in bh for v in a.S)
-
-
-def is_purely_infinite_ideal(g: Graph, d: GradedIdealDescriptor) -> bool:
-    """True iff the ideal sits inside the largest purely infinite one.
-
-    Breaking-vertex generators never qualify, so S must be empty.
-    """
-    if d.S:
-        return False
-    return set(d.H) <= set(classify(g).p_ppi)
 
 
 PEC_LABEL = "PurelyInfiniteSimple"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import sys
 import time
 
-from .classify import classify, csp_class, properly_infinite
+from .classify import _classify_masks, classify, csp_class, properly_infinite
 from .closures import breaking_capable_mask, closure_mask, hs_closure
 from .errors import InvariantViolation
 from .graph import Graph, condense, to_text
@@ -43,10 +43,10 @@ def _fail(detail: str) -> None:
 
 def check_invariants(g: Graph) -> None:
     """Structural invariants every graph must satisfy (criterion-style)."""
-    c = classify(g)
-    if not set(c.p_ec) <= set(c.p_ppi):
+    masks = _classify_masks(g)
+    if masks.p_ec & ~masks.p_ppi:
         _fail("P_ec not contained in P_ppi")
-    if not set(c.p_ppi) <= set(c.p_pi):
+    if masks.p_ppi & ~masks.p_pi:
         _fail("P_ppi not contained in P_pi")
     # raises when the union of the four classifier sets is not dense
     largest_ideals_report(g)
@@ -55,7 +55,7 @@ def check_invariants(g: Graph) -> None:
 def check_maximality(g: Graph) -> None:
     """The closure of P_ppi plus any vertex from outside holds a vertex that
     is not properly infinite or is breaking-capable, so no larger set
-    qualifies.  (``classify`` has already certified P_ppi itself as
+    qualifies.  (``_classify_masks`` has already certified P_ppi itself as
     hereditary and saturated.)
 
     The closure of P_ppi ∪ {v} starts from the tree of P_ppi ∪ T(v), which
@@ -63,9 +63,9 @@ def check_maximality(g: Graph) -> None:
     and judged once, at its first vertex in sorted order: the first vertex
     to fail is the one a closure per vertex would name.
     """
-    c = classify(g)
-    ppi = g.mask_of(c.p_ppi)
-    spoilers = ~g.mask_of(c.p_pi) | breaking_capable_mask(g)
+    masks = _classify_masks(g)
+    ppi = masks.p_ppi
+    spoilers = ~masks.p_pi | breaking_capable_mask(g)
     reach = g.reach_masks()
     passed = set()
     for i, scc in enumerate(condense(g).scc_of):

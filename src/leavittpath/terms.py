@@ -305,6 +305,7 @@ def graded_components(a: AlgebraElement) -> dict:
 
 def v_H_element(g: Graph, v: str, H) -> AlgebraElement:
     """v^H = v − Σ ee* over the finitely many edges from v landing outside H."""
+    g.check_vertices((v,))
     bset = breaking_vertices(g, H)
     if v not in bset.members:
         raise GraphValidationError(f"'{v}' is not a breaking vertex of H")

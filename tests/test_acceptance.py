@@ -26,12 +26,12 @@ from leavittpath import (
     descriptor_leq,
     hs_closure,
     ideal_descriptor,
-    is_purely_infinite_ideal,
     parse_graph,
     pi_decomposition,
     v_H_element,
 )
 from leavittpath import cli
+from leavittpath.classify import _classify_masks
 from leavittpath.random_graphs import enumerate_graphs, random_graphs, sample_graphs
 from leavittpath.selftest import (
     _Mismatch,
@@ -110,8 +110,9 @@ def test_criterion_3_chain3sink_ideals(capsys):
         big = ideal_descriptor(g, ("v2", "v3"))
         assert descriptor_leq(small, big)
         assert not descriptor_leq(big, small)  # strict
-        assert is_purely_infinite_ideal(g, small)
-        assert is_purely_infinite_ideal(g, big)
+        ppi = ideal_descriptor(g, c.p_ppi)  # the largest purely infinite ideal
+        assert descriptor_leq(small, ppi)
+        assert descriptor_leq(big, ppi)
 
 
 def test_criterion_4_property_suite(capsys, random_pool):
@@ -162,8 +163,8 @@ def test_maximality_probe_rejects_a_smaller_p_ppi(monkeypatch):
     g = parse_graph("vertices w x\nedge a w x\nedge l w w x2\nedge k x x x2\n")
     assert classify(g).p_ppi == ("w", "x")
     check_maximality(g)
-    smaller = classify(g)._replace(p_ppi=("x",))
-    monkeypatch.setattr("leavittpath.selftest.classify", lambda g: smaller)
+    smaller = _classify_masks(g)._replace(p_ppi=g.mask_of(("x",)))
+    monkeypatch.setattr("leavittpath.selftest._classify_masks", lambda g: smaller)
     with pytest.raises(_Mismatch, match="closure of P_ppi plus 'w'"):
         check_maximality(g)
 

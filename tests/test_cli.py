@@ -91,6 +91,15 @@ def test_hedgehog_truncation_flag(capsys):
     assert doc["payload"]["truncated_at"] == 2
 
 
+def test_hedgehog_names_an_unknown_s_id(capsys):
+    code, out, err = run_cli(
+        capsys, "hedgehog", fixture_path("omega-h"), "--H", "h,x", "--S", "nope"
+    )
+    assert code == 2
+    assert out == ""
+    assert "unknown vertex id 'nope'" in err
+
+
 def test_hedgehog_dot(capsys):
     code, out, _ = run_cli(
         capsys, "hedgehog", fixture_path("line3"), "--H", "v3", "--dot"

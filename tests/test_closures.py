@@ -6,17 +6,15 @@ from leavittpath import (
     GraphValidationError,
     breaking_capable,
     breaking_vertices,
+    build_hedgehog,
     csp_class,
     density_check,
     hs_closure,
     ideal_descriptor,
-    is_hereditary,
-    is_saturated,
     parse_graph,
-    reachable,
-    restriction_graph,
     saturate_once,
     to_text,
+    v_H_element,
 )
 
 from leavittpath.random_graphs import random_graphs
@@ -25,12 +23,15 @@ from conftest import fixture_graph
 
 
 def test_hereditary_and_saturated_predicates():
+    # a set is hereditary when it is its own tree, and hereditary and
+    # saturated when it is its own closure
     g = fixture_graph("chain3sink")
-    assert is_hereditary(g, ("v2", "v3"))
-    assert not is_hereditary(g, ("v1",))
-    assert is_saturated(g, ("v2", "v3"))
+    held = g.mask_of(("v2", "v3"))
+    assert g.tree_mask(held) == held
+    assert g.tree_mask(g.mask_of(("v1",))) != g.mask_of(("v1",))
+    assert hs_closure(g, ("v2", "v3")).members == ("v2", "v3")
     # v1's targets v1,v2,v4 — {v2,v3,v4} misses v1 only because v1->v1
-    assert is_saturated(g, ("v2", "v3", "v4"))
+    assert hs_closure(g, ("v2", "v3", "v4")).members == ("v2", "v3", "v4")
 
 
 def test_closure_of_empty_and_full():
@@ -118,15 +119,6 @@ def test_breaking_capable():
     assert breaking_capable(g2) == ()
 
 
-def test_restriction_graph():
-    g = fixture_graph("six")
-    r = restriction_graph(g, ("v3", "w1"))
-    assert r.vertices == ("v3", "w1")
-    assert sorted(b.id for b in r.bundles) == ["e3", "e4", "e7", "e8"]
-    with pytest.raises(GraphValidationError):
-        restriction_graph(g, ("v1",))  # not hereditary
-
-
 def test_density_check_witnesses():
     g = fixture_graph("chain3sink")
     r = density_check(g, ("v3", "v4"))
@@ -200,15 +192,19 @@ def test_closure_result_is_plain_data():
     assert isinstance(r.members, tuple)
 
 
+OMEGA_H = fixture_graph("omega-h")  # u breaks H = {h, x}
+
+
 @pytest.mark.parametrize(
     "call",
     [
-        lambda g: reachable(g, ("v1", "nope")),
-        lambda g: is_hereditary(g, ("nope",)),
-        lambda g: is_saturated(g, ("v3", "nope")),
+        # the tree T(X), the hereditary test T(X) == X, and the saturation
+        # test read on the closure
+        lambda g: g.set_of(g.tree_mask(g.mask_of(("v1", "nope")))),
+        lambda g: g.tree_mask(g.mask_of(("nope",))),
+        lambda g: hs_closure(g, ("v3", "nope")),
         lambda g: saturate_once(g, ("nope",)),
         lambda g: breaking_vertices(g, ("nope",)),
-        lambda g: restriction_graph(g, ("nope",)),
         lambda g: density_check(g, ("nope",)),
         lambda g: csp_class(g, "nope"),
         lambda g: ideal_descriptor(g, ("nope",)),
@@ -216,11 +212,16 @@ def test_closure_result_is_plain_data():
         lambda g: g.kind("nope"),
         lambda g: g.targets("nope"),
         lambda g: g.out_bundles("nope"),
+        # an id in S or v, next to an H that u does break
+        lambda _: ideal_descriptor(OMEGA_H, ("h",), S=("nope",)),
+        lambda _: build_hedgehog(OMEGA_H, ("h", "x"), ("nope",)),
+        lambda _: v_H_element(OMEGA_H, "nope", ("h", "x")),
     ],
     ids=[
         "reachable", "is_hereditary", "is_saturated", "saturate_once",
-        "breaking_vertices", "restriction_graph", "density_check", "csp_class",
-        "ideal_descriptor", "index", "kind", "targets", "out_bundles",
+        "breaking_vertices", "density_check", "csp_class", "ideal_descriptor",
+        "index", "kind", "targets", "out_bundles", "ideal_descriptor_S",
+        "build_hedgehog_S", "v_H_element",
     ],
 )
 def test_unknown_vertex_id_is_named(call):

@@ -3,7 +3,6 @@ import pytest
 from leavittpath import (
     GraphValidationError,
     build_hedgehog,
-    hedgehog_is_finite,
     parse_graph,
     to_dot,
 )
@@ -63,8 +62,9 @@ def test_infinite_hedgehog_is_truncated():
 
 
 def test_hedgehog_finiteness_predicate():
-    assert hedgehog_is_finite(fixture_graph("line4"), ("v4",), ())
-    assert not hedgehog_is_finite(fixture_graph("chain3sink"), ("v2", "v3"), ())
+    assert build_hedgehog(fixture_graph("line4"), ("v4",), ()).finite
+    g = fixture_graph("chain3sink")
+    assert not build_hedgehog(g, ("v2", "v3"), (), depth_limit=1).finite
 
 
 def test_route_through_two_cycle_is_infinite():
@@ -72,7 +72,7 @@ def test_route_through_two_cycle_is_infinite():
     g = parse_graph(
         "vertices a b h\nedge e a b\nedge f b a\nedge g a h\nedge l h h\n"
     )
-    assert not hedgehog_is_finite(g, ("h",), ())
+    assert not build_hedgehog(g, ("h",), (), depth_limit=1).finite
 
 
 def test_diamond_route_is_finite():
@@ -81,7 +81,6 @@ def test_diamond_route_is_finite():
         "vertices s a b t h\n"
         "edge e1 s a\nedge e2 s b\nedge e3 a t\nedge e4 b t\nedge f t h\n"
     )
-    assert hedgehog_is_finite(g, ("h",), ())
     hh = build_hedgehog(g, ("h",), ())
     assert hh.finite
     assert sorted(hh.path_vertex_table) == [
@@ -91,7 +90,6 @@ def test_diamond_route_is_finite():
 
 def test_omega_final_edge_makes_f_infinite():
     g = fixture_graph("omega-h")
-    assert not hedgehog_is_finite(g, ("h",), ())
     hh = build_hedgehog(g, ("h",), (), depth_limit=2)
     assert not hh.finite
 
@@ -101,7 +99,6 @@ def test_omega_mid_edge_makes_f_infinite():
     g = parse_graph(
         "vertices a b h\nbundle m a b omega\nedge f b h\nedge l h h\n"
     )
-    assert not hedgehog_is_finite(g, ("h",), ())
     hh = build_hedgehog(g, ("h",), ())
     assert not hh.finite
     assert sorted(hh.path_vertex_table) == ["p:f"]
@@ -174,7 +171,6 @@ def test_long_chain_paths_need_no_recursion():
 )
 def test_oversized_hedgehog_is_refused_before_listing(text, H, count):
     g = parse_graph(text)
-    assert hedgehog_is_finite(g, (H,), ())
     with pytest.raises(GraphValidationError, match=f"at least {count} F-paths"):
         build_hedgehog(g, (H,), ())
 

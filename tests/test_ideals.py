@@ -5,7 +5,6 @@ from leavittpath import (
     classify,
     descriptor_leq,
     ideal_descriptor,
-    is_purely_infinite_ideal,
     largest_ideals_report,
     parse_graph,
     pi_decomposition,
@@ -59,16 +58,19 @@ def test_descriptor_leq_rejects_mixed_graphs():
 
 
 def test_is_purely_infinite_ideal():
+    # an ideal is purely infinite when it lies inside I(P_ppi)
     g = fixture_graph("chain3sink")
-    assert is_purely_infinite_ideal(g, ideal_descriptor(g, ("v2", "v3")))
-    assert is_purely_infinite_ideal(g, ideal_descriptor(g, ("v3",)))
-    assert is_purely_infinite_ideal(g, ideal_descriptor(g, ()))
-    assert not is_purely_infinite_ideal(g, ideal_descriptor(g, ("v1",)))
-    assert not is_purely_infinite_ideal(g, ideal_descriptor(g, ("v4",)))
+    ppi = ideal_descriptor(g, classify(g).p_ppi)
+    assert descriptor_leq(ideal_descriptor(g, ("v2", "v3")), ppi)
+    assert descriptor_leq(ideal_descriptor(g, ("v3",)), ppi)
+    assert descriptor_leq(ideal_descriptor(g, ()), ppi)
+    assert not descriptor_leq(ideal_descriptor(g, ("v1",)), ppi)
+    assert not descriptor_leq(ideal_descriptor(g, ("v4",)), ppi)
 
     go = fixture_graph("omega-h")
-    assert not is_purely_infinite_ideal(
-        go, ideal_descriptor(go, ("h",), S=("u",))
+    assert not descriptor_leq(
+        ideal_descriptor(go, ("h",), S=("u",)),
+        ideal_descriptor(go, classify(go).p_ppi),
     )
 
 

@@ -264,6 +264,59 @@ def test_benchmark_reference_resolves(name):
         obj = getattr(obj, attr)
 
 
+def _names_read_by_module():
+    """Per ``leavittpath`` module, every name its code mentions: plain
+    names, imported names and attributes of a package module (``_kernel.x``),
+    but not a field such as ``result.is_hereditary``."""
+    paths = sorted((ROOT / "src" / "leavittpath").glob("*.py"))
+    modules = {path.stem for path in paths}
+
+    def named(node):
+        if isinstance(node, ast.Name):
+            return node.id
+        if isinstance(node, ast.alias):
+            return node.name
+        if isinstance(node, ast.Attribute) and _dotted(node.value) in modules:
+            return node.attr
+        return None
+
+    return {
+        f"leavittpath.{path.stem}":
+            set(map(named, ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
+        for path in paths
+    }
+
+
+def _readme_library_names():
+    """The names README's "Library" section puts in backticks."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"`(\w+)`", section))
+
+
+NAMES_READ_BY_MODULE = _names_read_by_module()
+# what the benchmark reads or times, by the last part of its dotted name
+MEASURED_NAMES = {
+    key.rsplit(".", 1)[-1] for key in [*BENCHMARK_REFERENCES, *_tracer_required_names()]
+}
+PUBLIC_FUNCTIONS = sorted(
+    name for name in leavittpath.__all__
+    if inspect.isfunction(getattr(leavittpath, name))
+)
+
+
+@pytest.mark.parametrize("name", PUBLIC_FUNCTIONS)
+def test_public_function_has_a_reader(name):
+    # a public function that only its own tests call is a second way to
+    # reach code the report already runs
+    own = getattr(leavittpath, name).__module__
+    callers = [
+        module for module, names in NAMES_READ_BY_MODULE.items()
+        if module not in (own, "leavittpath.__init__") and name in names
+    ]
+    assert callers or name in MEASURED_NAMES or name in _readme_library_names(), name
+
+
 # -- value classes -------------------------------------------------------------
 
 

@@ -38,12 +38,21 @@ def random_acyclic_graph(rng: random.Random) -> Graph:
     return Graph(order, bundles)
 
 
+def in_bundles(g: Graph) -> dict:
+    """vertex -> the bundles landing on it, in bundle-id order."""
+    into = {v: [] for v in g.vertices}
+    for b in g.bundles:
+        into[b.target].append(b)
+    return into
+
+
 def paths_into(g: Graph) -> dict:
     """vertex u -> every path ending at u, as (source, instances)."""
+    incoming = in_bundles(g)
     into = {}
     for u in topological_order(g):
         into[u] = [(u, ())]
-        for b in g.in_bundles(u):
+        for b in incoming[u]:
             for inst in b.instances:
                 into[u].extend((src, path + (inst,)) for src, path in into[b.source])
     return into
@@ -51,13 +60,14 @@ def paths_into(g: Graph) -> dict:
 
 def topological_order(g: Graph) -> list:
     """Every vertex after all of its predecessors."""
+    incoming = in_bundles(g)
     seen, order = set(), []
 
     def visit(v):
         if v in seen:
             return
         seen.add(v)
-        for b in g.in_bundles(v):
+        for b in incoming[v]:
             visit(b.source)
         order.append(v)
 

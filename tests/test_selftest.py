@@ -39,8 +39,8 @@ def test_failing_vertices_sharing_a_closure_name_the_smaller(monkeypatch):
         "edge l x x x2\n"
     )
     assert classify(g).p_ppi == ("a", "b", "x")
-    smaller = classify(g)._replace(p_ppi=("x",))
-    monkeypatch.setattr(selftest, "classify", lambda g: smaller)
+    smaller = selftest._classify_masks(g)._replace(p_ppi=g.mask_of(("x",)))
+    monkeypatch.setattr(selftest, "_classify_masks", lambda g: smaller)
     seeds = _count_closures(monkeypatch)
     with pytest.raises(_Mismatch, match="closure of P_ppi plus 'a' is still"):
         check_maximality(g)
