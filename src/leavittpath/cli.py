@@ -13,10 +13,9 @@ ends the command quietly with exit 0: what it read is all it wanted.
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
 import sys
+import types
 
 from .classify import classify
 from .closures import breaking_vertices, hs_closure
@@ -251,16 +250,122 @@ def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+        message = f"invalid int value: {text!r}"
+    else:
+        if value >= 1:
+            return value
+        message = f"must be at least 1, got {value}"
+    import argparse
+
+    raise argparse.ArgumentTypeError(message)
+
+
+_FILE = ("file", {})
+_PRETTY = ("--pretty", {"action": "store_true"})
+
+# The command-line grammar, written once.  Subcommand <name> runs
+# cmd_<name>, looked up when a command line is read, and has a help line,
+# its arguments in order as add_argument's (name or flag, keywords), and
+# the flags of its one mutually exclusive group.
+_COMMANDS = {
+    "validate": ("parse a graph file and echo its contents", (_FILE, _PRETTY), ()),
+    "classify": ("compute all vertex classifications", (_FILE, _PRETTY), ()),
+    "closure": ("hereditary saturated closure of a seed set", (
+        _FILE,
+        ("--seed", {"default": "", "help": "comma-separated vertex ids"}),
+        _PRETTY,
+    ), ()),
+    "hedgehog": ("build the hedgehog graph of (H, S)", (
+        _FILE,
+        ("--H", {"default": "", "help": "comma-separated hereditary set"}),
+        ("--S", {"default": "", "help": "comma-separated breaking vertices"}),
+        ("--depth", {"type": int, "default": 6, "help": "path truncation depth"}),
+        ("--dot", {"action": "store_true", "help": "emit DOT instead of JSON"}),
+        _PRETTY,
+    ), ()),
+    "report": ("largest-ideal generating sets and classes", (
+        _FILE,
+        ("--json", {"action": "store_true", "help": "compact JSON (default)"}),
+        ("--pretty", {"action": "store_true", "help": "indented JSON"}),
+    ), ("--json", "--pretty")),
+    "eval": ("evaluate an algebra expression", (
+        _FILE,
+        ("--expr", {"required": True}),
+        ("--graded", {"action": "store_true", "help": "split output by degree"}),
+        ("--json", {"action": "store_true"}),
+        _PRETTY,
+    ), ()),
+    "dot": ("export the graph in DOT format", (_FILE,), ()),
+    "selftest": ("run the randomized property suites", (
+        ("--cases", {"type": _positive_int, "default": 300}),
+        ("--max-vertices", {"type": _positive_int, "default": 8}),
+        ("--seed", {"type": int, "default": 7}),
+        ("--exhaustive-n4", {
+            "action": "store_true",
+            "help": "also sweep every 4-vertex multiplicity-2 graph (slow)",
+        }),
+    ), ()),
+}
+
+
+def _dest(flag: str) -> str:
+    return flag.lstrip("-").replace("-", "_")
+
+
+def _read_plain(argv):
+    """The arguments argparse would read from a plain command line, else None.
+
+    Plain: the subcommand first, exactly its positionals, and options
+    spelled in full, each value a token that does not start with "-" and
+    that the option's type accepts.  Anything else (help, abbreviations,
+    ``--opt=value``, ``--``, a usage error) is left to argparse, which
+    alone prints help and errors.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, arguments, exclusive = _COMMANDS[argv[0]]
+    options = {flag: kw for flag, kw in arguments if flag[0] == "-"}
+    names = [name for name, _ in arguments if name[0] != "-"]
+    values = {
+        _dest(flag): kw.get("default", False if "action" in kw else None)
+        for flag, kw in options.items()
+    }
+    given, positionals = set(), []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        if token not in options:
+            return None
+        kw = options[token]
+        given.add(token)
+        if "action" in kw:  # store_true
+            values[_dest(token)] = True
+            continue
+        value = next(tokens, "-")  # a missing value is declined too
+        if value.startswith("-"):
+            return None
+        try:
+            values[_dest(token)] = kw.get("type", str)(value)
+        except Exception:  # argparse reads the value again and reports it
+            return None
+    required = {flag for flag, kw in options.items() if kw.get("required")}
+    if (len(positionals) != len(names) or not required <= given
+            or len(given.intersection(exclusive)) > 1):
+        return None
+    values.update(zip(names, positionals))
+    return types.SimpleNamespace(
+        command=argv[0], func=globals()["cmd_" + argv[0]], **values
+    )
 
 
 def _terminal_columns() -> int:
     """``shutil.get_terminal_size().columns``, read without importing
     shutil: COLUMNS if a positive int, else the width of the terminal on
     stdout, else 80."""
+    import os
+
     try:
         columns = int(os.environ["COLUMNS"])
     except (KeyError, ValueError):
@@ -277,74 +382,35 @@ def _terminal_columns() -> int:
 def _help_formatter(prog: str) -> argparse.HelpFormatter:
     # argparse's default width imports shutil, and with it bz2, lzma and
     # fnmatch, on every add_argument; the width it computes is the same
+    import argparse
+
     return argparse.HelpFormatter(prog, width=_terminal_columns() - 2)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """argparse's reading of ``_COMMANDS``: it prints help and usage errors,
+    and reads every command line that ``_read_plain`` declines."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="lpa",
         description="Path-algebra analysis of directed graphs with ω-bundles",
         formatter_class=_help_formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_line):
-        p = sub.add_parser(name, help=help_line, formatter_class=_help_formatter)
-        p.set_defaults(func=fn)
-        return p
-
-    p = add("validate", cmd_validate, "parse a graph file and echo its contents")
-    p.add_argument("file")
-    p.add_argument("--pretty", action="store_true")
-
-    p = add("classify", cmd_classify, "compute all vertex classifications")
-    p.add_argument("file")
-    p.add_argument("--pretty", action="store_true")
-
-    p = add("closure", cmd_closure, "hereditary saturated closure of a seed set")
-    p.add_argument("file")
-    p.add_argument("--seed", default="", help="comma-separated vertex ids")
-    p.add_argument("--pretty", action="store_true")
-
-    p = add("hedgehog", cmd_hedgehog, "build the hedgehog graph of (H, S)")
-    p.add_argument("file")
-    p.add_argument("--H", default="", help="comma-separated hereditary set")
-    p.add_argument("--S", default="", help="comma-separated breaking vertices")
-    p.add_argument("--depth", type=int, default=6, help="path truncation depth")
-    p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
-    p.add_argument("--pretty", action="store_true")
-
-    p = add("report", cmd_report, "largest-ideal generating sets and classes")
-    p.add_argument("file")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--json", action="store_true", help="compact JSON (default)")
-    group.add_argument("--pretty", action="store_true", help="indented JSON")
-
-    p = add("eval", cmd_eval, "evaluate an algebra expression")
-    p.add_argument("file")
-    p.add_argument("--expr", required=True)
-    p.add_argument("--graded", action="store_true", help="split output by degree")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--pretty", action="store_true")
-
-    p = add("dot", cmd_dot, "export the graph in DOT format")
-    p.add_argument("file")
-
-    p = add("selftest", cmd_selftest, "run the randomized property suites")
-    p.add_argument("--cases", type=_positive_int, default=300)
-    p.add_argument("--max-vertices", type=_positive_int, default=8)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument(
-        "--exhaustive-n4",
-        action="store_true",
-        help="also sweep every 4-vertex multiplicity-2 graph (slow)",
-    )
-
+    for command, (help_line, arguments, exclusive) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line, formatter_class=_help_formatter)
+        p.set_defaults(func=globals()["cmd_" + command])
+        group = p.add_mutually_exclusive_group() if exclusive else None
+        for name, kw in arguments:
+            (group if name in exclusive else p).add_argument(name, **kw)
     return parser
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _read_plain(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InvariantViolation as exc:
@@ -368,6 +434,8 @@ def main() -> None:
     except BrokenPipeError:
         # the reader closed stdout; point it at devnull so that the flush
         # at interpreter exit cannot fail a second time
+        import os
+
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 0
     sys.exit(code)

@@ -1,8 +1,10 @@
 import argparse
+import importlib.util
 import itertools
 import json
 import os
 import pathlib
+import random
 import re
 import shutil
 import subprocess
@@ -13,7 +15,8 @@ import pytest
 
 from leavittpath import InvariantViolation
 from leavittpath import _kernel, cli
-from leavittpath.random_graphs import enumerate_graphs
+from leavittpath.graph import to_text
+from leavittpath.random_graphs import enumerate_graphs, random_graphs
 
 from conftest import FIXTURE_NAMES, ROOT, fixture_path
 
@@ -487,3 +490,155 @@ def test_help_is_laid_out_as_by_argparses_default_width(capsys, monkeypatch, col
     ours = [usage_bytes(capsys, argv) for argv in argvs]
     monkeypatch.setattr(cli, "_help_formatter", argparse.HelpFormatter)
     assert [usage_bytes(capsys, argv) for argv in argvs] == ours
+
+
+# -- plain command lines, read without argparse --------------------------------
+
+
+def _benchmark_commands(seeds):
+    """``lpabench.inputs.cli_commands`` over the fixtures, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(
+        "lpabench_inputs", pathlib.Path(ROOT) / "lpabench" / "inputs.py"
+    )
+    inputs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = inputs  # @dataclass looks its module up there
+    try:
+        spec.loader.exec_module(inputs)
+    finally:
+        del sys.modules[spec.name]
+    files = {
+        fixture_path(name): pathlib.Path(fixture_path(name)).read_text(encoding="utf-8")
+        for name in FIXTURE_NAMES
+    }
+    return [argv for seed in seeds for argv in inputs.cli_commands(files, seed)]
+
+
+# forms that argparse reads another way than token by token, or refuses
+MALFORMED = (
+    ["report", "x.lpa", "--pre"],
+    ["closure", "x.lpa", "--seed=v1"],
+    ["classify", "--", "x.lpa"],
+    ["dot", "x.lpa", "-h"],
+    ["validate", "-"],
+    ["hedgehog", "x.lpa", "--depth", "-1"],
+    ["hedgehog", "x.lpa", "--depth", "x"],
+    ["selftest", "--cases", "0"],
+    ["eval", "x.lpa", "--json"],
+    ["classify", "x.lpa", "y.lpa"],
+    ["report", "x.lpa", "--json", "--pretty"],
+)
+VALUES = ("", "v1", "v2,v3", "e1[2]* e1[2]", "0", "3", " 7", "1_0", "٣", "x",
+          "-1", "-", "--", "-v1", "-a b")
+
+
+def _random_command_line(rng, path):
+    """A command line built from one subcommand's arguments: each option
+    given 0-2 times, 0-2 files, shuffled; a third of them then take an
+    abbreviation, an ``--opt=value``, a ``--``, a ``-h`` or a ``-`` file."""
+    command = rng.choice(list(cli._COMMANDS))
+    _, arguments, _ = cli._COMMANDS[command]
+    units = []
+    for name, kw in arguments:
+        if name[0] != "-":
+            units += [[path]] * rng.choice((0, 1, 1, 1, 2))
+        elif kw.get("action"):
+            units += [[name]] * rng.choice((0, 0, 1, 2))
+        else:
+            units += [[name, rng.choice(VALUES)] for _ in range(rng.choice((0, 1, 1, 2)))]
+    rng.shuffle(units)
+    argv = [command, *itertools.chain.from_iterable(units)]
+    flags = {name for name, _ in arguments if name[0] == "-"}
+    options = [i for i, token in enumerate(argv) if token in flags]
+    mutation = rng.randrange(15)
+    if mutation == 0 and options:
+        i = rng.choice(options)
+        argv[i] = argv[i][:rng.randrange(2, len(argv[i]))]
+    elif mutation == 1 and options and options[-1] + 1 < len(argv):
+        i = options[-1]
+        argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+    elif mutation in (2, 3):
+        argv.insert(rng.randrange(1, len(argv) + 1), ("--", "-h")[mutation - 2])
+    elif mutation == 4 and path in argv:
+        argv[argv.index(path)] = "-"
+    return argv
+
+
+def _argparse_reading(parser, argv):
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def test_plain_reader_agrees_with_argparse(capsys):
+    parser = cli.build_parser()
+    benchmark = _benchmark_commands(range(6))
+    rng = random.Random(22)
+    corpus = [_random_command_line(rng, "x.lpa") for _ in range(3000)]
+    accepted = 0
+    for argv in benchmark + list(MALFORMED) + corpus:
+        ours = cli._read_plain(argv)
+        if ours is not None:
+            assert vars(ours) == _argparse_reading(parser, argv), argv
+            accepted += 1
+    assert all(cli._read_plain(argv) is not None for argv in benchmark)
+    assert [argv for argv in MALFORMED if cli._read_plain(argv) is not None] == []
+    assert accepted > len(benchmark) + len(corpus) // 4
+    assert {"--S", ""} <= {token for argv in benchmark for token in argv}
+
+
+def test_a_rebound_handler_runs(capsys, monkeypatch):
+    # handlers are looked up when a command line is read, as lpabench's
+    # tracer needs
+    monkeypatch.setattr(cli, "cmd_dot", lambda args: 7)
+    assert cli.run(["dot", fixture_path("six")]) == 7
+
+
+def _random_expression(rng, names):
+    def term():
+        factors = [rng.choice(names) + rng.choice(("", "", "*"))
+                   for _ in range(rng.randint(1, 3))]
+        return rng.choice(("", "2 ", "-1/3 ", "(", "0 ")) + " ".join(factors)
+
+    expr = term()
+    for _ in range(rng.randrange(3)):
+        expr += rng.choice((" + ", " - ", " ")) + term()
+    return expr + ")" * expr.count("(")
+
+
+def test_exit_codes_on_random_command_lines(tmp_path, capsys):
+    # every command line ends in 0, 2 or 3, never in an uncaught exception
+    rng = random.Random(5)
+
+    def some(pool):
+        return ",".join(rng.sample(pool, rng.randint(0, min(3, len(pool)))))
+
+    codes = []
+    for i, g in enumerate(random_graphs(160, 3, max_vertices=6)):
+        path = str(tmp_path / f"g{i}.lpa")
+        pathlib.Path(path).write_text(to_text(g), encoding="utf-8")
+        ids = [*g.vertices, "nope"]
+        names = [*ids, *(inst for b in g.bundles if not b.is_omega
+                         for inst in b.instances), "e1[9]"]
+        argvs = [
+            ["closure", path, "--seed", some(ids)],
+            ["hedgehog", path, "--H", some(ids), "--S", some(ids),
+             "--depth", rng.choice(("0", "1", "3", "-1", "x")),
+             *rng.choice(((), ("--dot",), ("--pretty",)))],
+            ["eval", path, "--expr", _random_expression(rng, names),
+             *rng.choice(((), ("--json",), ("--graded",), ("--json", "--graded")))],
+            ["report", path, *rng.choice(((), ("--json",), ("--pretty",)))],
+            ["classify", path],
+            ["validate", path],
+            ["dot", path],
+        ]
+        argvs += [[token.replace("x.lpa", path) for token in argv]
+                  for argv in rng.sample(MALFORMED, 3) if "-h" not in argv]
+        for argv in argvs:
+            try:
+                code = cli.run(argv)
+            except SystemExit as exc:
+                code = exc.code
+            assert code in (0, 2, 3), argv
+            codes.append(code)
+    assert {0, 2} <= set(codes)

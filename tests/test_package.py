@@ -51,6 +51,9 @@ NOT_LOADED_BY_CLI = (
     "shutil",  # argparse's default help width
     "hashlib",  # loads OpenSSL; the digest takes the built-in sha256
     "_hashlib",
+    "argparse",  # only help and usage errors build the parser
+    "gettext",
+    "locale",
 )
 
 
@@ -72,11 +75,19 @@ def test_cli_import_loads_only_what_every_subcommand_needs():
     assert set(NOT_LOADED_BY_CLI).isdisjoint(loaded)
 
 
-@pytest.mark.parametrize("command", ["report", "classify"])
-def test_a_fresh_command_loads_neither_shutil_nor_hashlib(command):
-    path = str(ROOT / "fixtures" / "six.lpa")
+@pytest.mark.parametrize("argv", [
+    ["validate", "six"],
+    ["classify", "six"],
+    ["closure", "six", "--seed", "v3"],
+    ["report", "six"],
+    ["eval", "chain3", "--expr", "f1* f1", "--json"],
+    ["hedgehog", "omega-h", "--H", "h", "--S", "u"],
+], ids=lambda argv: argv[0])
+def test_a_fresh_command_loads_neither_shutil_nor_hashlib(argv):
+    command, name, *options = argv
+    path = str(ROOT / "fixtures" / f"{name}.lpa")
     out = fresh_python(
-        f"sys.argv = ['lpa', {command!r}, {path!r}]\n"
+        f"sys.argv = ['lpa', {command!r}, {path!r}, *{options!r}]\n"
         "from leavittpath.cli import main\n"
         "try:\n    main()\nexcept SystemExit as exc:\n    code = exc.code\n"
         "print(code, *sys.modules)"
@@ -88,7 +99,9 @@ def test_a_fresh_command_loads_neither_shutil_nor_hashlib(command):
         assert payload == golden.read_text(encoding="utf-8").rstrip("\n")
     code, *loaded = modules.split()
     assert code == "0"
-    assert {"shutil", "hashlib", "_hashlib"}.isdisjoint(loaded)
+    assert {"shutil", "hashlib", "_hashlib", "argparse", "gettext", "locale"}.isdisjoint(
+        loaded
+    )
 
 
 PUBLIC_NAMES_PROBE = """
