@@ -13,7 +13,6 @@ ends the command quietly with exit 0: what it read is all it wanted.
 
 from __future__ import annotations
 
-import json
 import sys
 import types
 
@@ -61,11 +60,40 @@ def _envelope(g: Graph, payload: dict) -> dict:
     }
 
 
+def _unserializable(o):
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _compact_json(obj) -> str:
+    """``json.dumps(obj, separators=(",", ":"), sort_keys=True)`` without
+    importing json, whose import loads ``re`` and ``enum``.
+
+    ``_json.make_encoder`` gets the arguments ``json.dumps`` hands it: a
+    circular-reference table, JSONEncoder.default's error, the ASCII string
+    escaper, no indent, the separators, sort_keys, not skipkeys, allow_nan.
+    As ``json.encoder`` does, fall back to Python's encoder when ``_json`` is
+    missing, and also when its make_encoder takes other arguments."""
+    try:
+        from _json import encode_basestring_ascii, make_encoder
+
+        encode = make_encoder(
+            {}, _unserializable, encode_basestring_ascii, None, ":", ",",
+            True, False, True,
+        )
+    except (ImportError, TypeError):
+        import json
+
+        return json.dumps(obj, separators=(",", ":"), sort_keys=True)
+    return "".join(encode(obj, 0))
+
+
 def _emit(obj, pretty: bool = False) -> None:
     if pretty:
+        import json
+
         print(json.dumps(obj, indent=2, sort_keys=True))
     else:
-        print(json.dumps(obj, separators=(",", ":"), sort_keys=True))
+        print(_compact_json(obj))
 
 
 def _split_ids(raw: str) -> tuple[str, ...]:

@@ -12,8 +12,8 @@ Everything here is immutable after construction and safe to share.
 from __future__ import annotations
 
 import functools
+import gc
 import math
-import re
 from collections import namedtuple
 from itertools import compress
 from operator import attrgetter
@@ -426,48 +426,56 @@ def parse_graph(text: str) -> Graph:
     its first fault with the line and column.
     """
     lines = text.splitlines()
-    vertices: list[str] = []
-    bundles: list[EdgeBundle] = []
-    make = tuple.__new__  # skips EdgeBundle's Python-level __new__
+    # the build allocates a tuple per bundle and leaves no cycle behind, so
+    # the cyclic collector would only rescan the growing graph
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        for line in lines:
-            if "#" in line:
-                line = line.split("#", 1)[0]
-            toks = line.split()
-            if not toks:
-                continue
-            head = toks[0]
-            if head == "vertices":
-                vertices += toks[1:]
-            elif head != "edge" and head != "bundle":
-                raise ValueError
-            elif len(toks) == 4:
-                bundles.append(make(EdgeBundle, (toks[1], toks[2], toks[3], 1)))
-            else:
-                _, eid, src, dst, m = toks  # any other length: ValueError
-                if m == "omega":
-                    mult = OMEGA
-                elif m[0] != "x" or not m[1:].isdigit() or not m.isascii():
-                    raise ValueError
-                else:
-                    mult = int(m[1:])  # past int()'s digit limit: ValueError
-                    if not mult:
-                        raise ValueError
-                bundles.append(make(EdgeBundle, (eid, src, dst, mult)))
-    except ValueError:
-        _raise_first_error(lines)
-
-    ids = [*vertices, *map(_bundle_id, bundles)]
-    if (
-        all(map(str.isidentifier, ids)) and _KEYWORDS.isdisjoint(ids)
-        # a non-ASCII character may sit in a comment or between two ids
-        and (text.isascii() or all(map(str.isascii, ids)))
-    ):
+        vertices: list[str] = []
+        bundles: list[EdgeBundle] = []
+        make = tuple.__new__  # skips EdgeBundle's Python-level __new__
         try:
-            return Graph(vertices, bundles)
-        except GraphValidationError:  # a repeated id or an undeclared endpoint
-            pass
-    _raise_first_error(lines)
+            for line in lines:
+                if "#" in line:
+                    line = line.split("#", 1)[0]
+                toks = line.split()
+                if not toks:
+                    continue
+                head = toks[0]
+                if head == "vertices":
+                    vertices += toks[1:]
+                elif head != "edge" and head != "bundle":
+                    raise ValueError
+                elif len(toks) == 4:
+                    bundles.append(make(EdgeBundle, (toks[1], toks[2], toks[3], 1)))
+                else:
+                    _, eid, src, dst, m = toks  # any other length: ValueError
+                    if m == "omega":
+                        mult = OMEGA
+                    elif m[0] != "x" or not m[1:].isdigit() or not m.isascii():
+                        raise ValueError
+                    else:
+                        mult = int(m[1:])  # past int()'s digit limit: ValueError
+                        if not mult:
+                            raise ValueError
+                    bundles.append(make(EdgeBundle, (eid, src, dst, mult)))
+        except ValueError:
+            _raise_first_error(lines)
+
+        ids = [*vertices, *map(_bundle_id, bundles)]
+        if (
+            all(map(str.isidentifier, ids)) and _KEYWORDS.isdisjoint(ids)
+            # a non-ASCII character may sit in a comment or between two ids
+            and (text.isascii() or all(map(str.isascii, ids)))
+        ):
+            try:
+                return Graph(vertices, bundles)
+            except GraphValidationError:  # a repeated id or an undeclared endpoint
+                pass
+        _raise_first_error(lines)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def _raise_first_error(lines: list[str]):
@@ -589,9 +597,6 @@ def to_dot(g: Graph) -> str:
 
 # -- edge instances ---------------------------------------------------------
 
-_INSTANCE_RE = re.compile(r"(?P<id>[^\[\]]+)(?:\[(?P<idx>[0-9]+)\])?\Z")
-
-
 def parse_instance(g: Graph, token: str) -> tuple[EdgeBundle, int]:
     """Resolve an edge-instance token ("e" or "e[i]") to (bundle, index).
 
@@ -603,7 +608,9 @@ def parse_instance(g: Graph, token: str) -> tuple[EdgeBundle, int]:
     b = g._by_id.get(token)
     if b is not None and b.mult == 1:
         return b, 1
-    m = _INSTANCE_RE.match(token)
+    import re  # only the term engine reads instances; re caches the pattern
+
+    m = re.match(r"(?P<id>[^\[\]]+)(?:\[(?P<idx>[0-9]+)\])?\Z", token)
     if not m:
         raise GraphValidationError(f"malformed edge instance '{token}'")
     eid = m.group("id")

@@ -24,8 +24,8 @@ are exact: ints, and Fractions only where a denominator is left.
 from __future__ import annotations
 
 import re
+import sys
 from collections import namedtuple
-from fractions import Fraction
 
 from .closures import breaking_vertices
 from .errors import ExpressionError, GraphValidationError
@@ -36,10 +36,21 @@ def _exact(k):
     """k as a coefficient: an int when integral, else a Fraction.  Accepts
     whatever ``Fraction()`` accepts."""
     if type(k) is not int:
+        from fractions import Fraction  # loaded by the first non-int coefficient
+
         k = Fraction(k)
         if k.denominator == 1:
             return k.numerator
     return k
+
+
+def _is_scalar(k) -> bool:
+    """k is an int or a Fraction; a Fraction exists only once fractions is
+    loaded, so an int scalar never loads it."""
+    if isinstance(k, int):
+        return True
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(k, fractions.Fraction)
 
 
 def _settled(acc: dict) -> dict:
@@ -247,7 +258,7 @@ class AlgebraElement:
 
     def __mul__(self, other):
         if type(other) is not AlgebraElement:
-            if isinstance(other, (int, Fraction)):
+            if _is_scalar(other):
                 return self.scale(other)
             if not isinstance(other, AlgebraElement):
                 return NotImplemented
@@ -265,7 +276,7 @@ class AlgebraElement:
         return AlgebraElement(g, _settled(acc), _normalized=True)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             return self.scale(other)
         return NotImplemented
 
@@ -457,7 +468,11 @@ class _Parser:
                 raise ExpressionError("number has too many digits", col) from None
             if den == 0:
                 raise ExpressionError("zero denominator", col)
-            return _exact(Fraction(num, den))
+            if num % den == 0:
+                return num // den
+            from fractions import Fraction
+
+            return Fraction(num, den)
         if kind == "ident":
             return self._resolve(text, col)
         if kind == "sym" and text == "(":

@@ -495,8 +495,9 @@ def test_help_is_laid_out_as_by_argparses_default_width(capsys, monkeypatch, col
 # -- plain command lines, read without argparse --------------------------------
 
 
-def _benchmark_commands(seeds):
-    """``lpabench.inputs.cli_commands`` over the fixtures, loaded from its file."""
+def _benchmark_commands(seeds, files=None):
+    """``lpabench.inputs.cli_commands`` over ``files`` (path to text; the
+    fixtures by default), loaded from its file."""
     spec = importlib.util.spec_from_file_location(
         "lpabench_inputs", pathlib.Path(ROOT) / "lpabench" / "inputs.py"
     )
@@ -506,10 +507,11 @@ def _benchmark_commands(seeds):
         spec.loader.exec_module(inputs)
     finally:
         del sys.modules[spec.name]
-    files = {
-        fixture_path(name): pathlib.Path(fixture_path(name)).read_text(encoding="utf-8")
-        for name in FIXTURE_NAMES
-    }
+    if files is None:
+        files = {
+            fixture_path(name): pathlib.Path(fixture_path(name)).read_text(encoding="utf-8")
+            for name in FIXTURE_NAMES
+        }
     return [argv for seed in seeds for argv in inputs.cli_commands(files, seed)]
 
 
@@ -642,3 +644,85 @@ def test_exit_codes_on_random_command_lines(tmp_path, capsys):
             assert code in (0, 2, 3), argv
             codes.append(code)
     assert {0, 2} <= set(codes)
+
+
+# -- the compact JSON writer ----------------------------------------------------
+
+
+def _emitted_objects(tmp_path, monkeypatch):
+    """Every object the subcommands hand to ``_emit``: the benchmark's
+    command mix (each subcommand but dot and selftest) over every fixture and
+    over ``random_graphs(200, 23)``."""
+    files = {}
+    for i, g in enumerate(random_graphs(200, 23)):
+        path = tmp_path / f"g{i}.lpa"
+        files[str(path)] = text = to_text(g)
+        path.write_text(text, encoding="utf-8")
+    argvs = _benchmark_commands([0]) + _benchmark_commands([0], files)
+    objects = []
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_emit", lambda obj, pretty=False: objects.append(obj))
+        for argv in argvs:
+            assert cli.run(argv) == 0, argv
+    assert len(objects) == len(argvs)
+    assert {argv[0] for argv in argvs} == set(cli._COMMANDS) - {"dot", "selftest"}
+    return objects
+
+
+SYNTHETIC = {
+    "ascii": "plain text",
+    "non-ascii": "ω é 中 😀",
+    "control": "\x00\x01\x08\t\n\x0c\r\x1f\x7f \\ \" /",
+    "separators": "\u2028\u2029",
+    "lone surrogate": "\ud800 and \udfff",
+    "big ints": [10**100, -(2**70), 0, -1],
+    "floats": [0.5, -1e300, float("inf"), float("-inf"), float("nan")],
+    "empty": [[], {}, "", ()],
+    "none": None,
+    "bools": [True, False],
+    "int keys": {3: "c", 1: "a", 2: "b"},
+    "nested": [{"b": [None, {"z": 1, "a": 2}], "a": []}],
+}
+
+
+@pytest.fixture(params=["_json", "no _json", "make_encoder refuses"])
+def encoder(request, monkeypatch):
+    """The C encoder, or ``json.dumps`` in its stead: when ``_json`` cannot
+    be imported, and when ``make_encoder`` rejects the arguments."""
+    if request.param == "no _json":
+        monkeypatch.setitem(sys.modules, "_json", None)
+    elif request.param == "make_encoder refuses":
+        import _json
+
+        def refuse(*args):
+            raise TypeError("make_encoder() takes other arguments")
+
+        monkeypatch.setattr(_json, "make_encoder", refuse)
+    return request.param
+
+
+def test_compact_json_is_json_dumps(capsys, tmp_path, monkeypatch, encoder):
+    objects = _emitted_objects(tmp_path, monkeypatch)
+    for obj in [*objects, SYNTHETIC, "\u2028 ω", 7, None]:
+        cli._emit(obj)
+        expected = json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n"
+        assert capsys.readouterr().out == expected
+
+
+def test_compact_json_raises_as_json_dumps(encoder):
+    circular = []
+    circular.append(circular)
+    for obj, error in [({"a": {1, 2}}, TypeError), ({"a": circular}, ValueError),
+                       ({"a": 1, 2: "b"}, TypeError)]:
+        with pytest.raises(error) as ours:
+            cli._compact_json(obj)
+        with pytest.raises(error) as theirs:
+            json.dumps(obj, separators=(",", ":"), sort_keys=True)
+        assert str(ours.value) == str(theirs.value)
+
+
+def test_pretty_json_is_json_dumps_indented(capsys, tmp_path, monkeypatch):
+    for obj in [*_emitted_objects(tmp_path, monkeypatch), SYNTHETIC]:
+        cli._emit(obj, pretty=True)
+        expected = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        assert capsys.readouterr().out == expected

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import random
@@ -376,3 +377,23 @@ def test_parse_error_positions(text, line, column, message):
     assert (ei.value.line, ei.value.column, ei.value.reason) == (
         line, column, message,
     )
+
+
+@pytest.mark.parametrize("text,error", [
+    ("vertices a b\nedge e a b x2\n", None),
+    ("vertices a\nedge e a b\n", GraphSyntaxError),  # found once Graph fails
+    ("vertices a b\nedge e a b x0\n", GraphSyntaxError),  # found by the pass
+])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parse_leaves_the_callers_gc_setting(text, error, enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            parse_graph(text)
+        else:
+            with pytest.raises(error):
+                parse_graph(text)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()

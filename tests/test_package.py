@@ -54,6 +54,9 @@ NOT_LOADED_BY_CLI = (
     "argparse",  # only help and usage errors build the parser
     "gettext",
     "locale",
+    "json",  # the compact JSON is written by _json's encoder; json loads re
+    "re",  # only the term engine reads edge instances and expressions
+    "enum",  # loaded by re
 )
 
 
@@ -80,7 +83,7 @@ def test_cli_import_loads_only_what_every_subcommand_needs():
     ["classify", "six"],
     ["closure", "six", "--seed", "v3"],
     ["report", "six"],
-    ["eval", "chain3", "--expr", "f1* f1", "--json"],
+    ["eval", "chain3", "--expr", "2 f1* f1", "--json"],
     ["hedgehog", "omega-h", "--H", "h", "--S", "u"],
 ], ids=lambda argv: argv[0])
 def test_a_fresh_command_loads_neither_shutil_nor_hashlib(argv):
@@ -102,6 +105,10 @@ def test_a_fresh_command_loads_neither_shutil_nor_hashlib(argv):
     assert {"shutil", "hashlib", "_hashlib", "argparse", "gettext", "locale"}.isdisjoint(
         loaded
     )
+    if command == "eval":  # its tokenizer loads re; an int coefficient, no fractions
+        assert {"json", "fractions", "decimal", "numbers"}.isdisjoint(loaded)
+    else:
+        assert {"json", "re", "enum"}.isdisjoint(loaded)
 
 
 PUBLIC_NAMES_PROBE = """
