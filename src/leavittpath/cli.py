@@ -24,7 +24,8 @@ from .errors import (
     GraphValidationError,
     InvariantViolation,
 )
-from .graph import Graph, graph_digest, mult_to_json, parse_graph, to_dot
+from .graph import INFINITE_EMITTER, REGULAR, SINK, Graph, graph_digest, mult_to_json
+from .graph import parse_graph, to_dot
 
 SCHEMA_VERSION = "1"
 
@@ -114,7 +115,9 @@ def cmd_validate(args) -> int:
     payload = {
         "vertices": list(g.vertices),
         "bundles": [_bundle_payload(b) for b in g.bundles],
-        "kinds": {v: g.kind(v) for v in g.vertices},
+        # listed by mask, since each kind(v) call shifts an n-bit mask
+        "kinds": {v: kind for kind in (SINK, REGULAR, INFINITE_EMITTER)
+                  for v in g.set_of(g.kind_mask(kind))},
     }
     _emit(_envelope(g, payload), args.pretty)
     return 0
@@ -388,33 +391,6 @@ def _read_plain(argv):
     )
 
 
-def _terminal_columns() -> int:
-    """``shutil.get_terminal_size().columns``, read without importing
-    shutil: COLUMNS if a positive int, else the width of the terminal on
-    stdout, else 80."""
-    import os
-
-    try:
-        columns = int(os.environ["COLUMNS"])
-    except (KeyError, ValueError):
-        columns = 0
-    if columns > 0:
-        return columns
-    try:
-        columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
-    except (AttributeError, ValueError, OSError):
-        columns = 0
-    return columns or 80
-
-
-def _help_formatter(prog: str) -> argparse.HelpFormatter:
-    # argparse's default width imports shutil, and with it bz2, lzma and
-    # fnmatch, on every add_argument; the width it computes is the same
-    import argparse
-
-    return argparse.HelpFormatter(prog, width=_terminal_columns() - 2)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """argparse's reading of ``_COMMANDS``: it prints help and usage errors,
     and reads every command line that ``_read_plain`` declines."""
@@ -423,11 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lpa",
         description="Path-algebra analysis of directed graphs with ω-bundles",
-        formatter_class=_help_formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_line, arguments, exclusive) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_line, formatter_class=_help_formatter)
+        p = sub.add_parser(command, help=help_line)
         p.set_defaults(func=globals()["cmd_" + command])
         group = p.add_mutually_exclusive_group() if exclusive else None
         for name, kw in arguments:

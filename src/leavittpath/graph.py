@@ -142,7 +142,9 @@ def _raise_invalid(vertices, bundles):
             raise GraphValidationError(
                 f"bundle '{b.id}' has dangling target '{b.target}'"
             )
-        if b.mult is not OMEGA and (not isinstance(b.mult, int) or b.mult < 1):
+        if b.mult is not OMEGA and (
+            not isinstance(b.mult, int) or b.mult < 1 or b.mult is True
+        ):
             raise GraphValidationError(
                 f"bundle '{b.id}' has invalid multiplicity {b.mult!r}"
             )
@@ -180,7 +182,7 @@ class Graph:
                 s = index[source]
                 if mult is OMEGA:
                     omega_sources.append(s)
-                elif not isinstance(mult, int) or mult < 1:
+                elif not isinstance(mult, int) or mult < 1 or mult is True:
                     raise ValueError
                 out[s].append(b)
                 succ[s].append(index[target])
@@ -232,13 +234,14 @@ class Graph:
         return self._out[self.index(v)]
 
     def kind(self, v: str) -> str:
-        return _kind_table(self)[self.index(v)]
+        i = self.index(v)
+        return next(k for k, mask in self._kind_masks.items() if mask >> i & 1)
 
     def is_regular(self, v: str) -> bool:
-        return self.kind(v) == REGULAR
+        return self._kind_masks[REGULAR] >> self.index(v) & 1 == 1
 
     def is_infinite_emitter(self, v: str) -> bool:
-        return self.kind(v) == INFINITE_EMITTER
+        return self._kind_masks[INFINITE_EMITTER] >> self.index(v) & 1 == 1
 
     def targets(self, v: str) -> tuple[str, ...]:
         """Distinct targets of v's out-bundles, sorted."""
@@ -333,17 +336,7 @@ class Graph:
         return f"Graph({len(self._vertices)} vertices, {len(self._bundles)} bundles)"
 
 
-# the tables that only some callers of ``Graph`` read
-
-
-@per_graph
-def _kind_table(g: Graph) -> tuple[str, ...]:
-    return tuple(
-        SINK if not out
-        else INFINITE_EMITTER if any(b.mult is OMEGA for b in out)
-        else REGULAR
-        for out in g.out_table
-    )
+# the table that only some callers of ``Graph`` read
 
 
 @per_graph

@@ -141,10 +141,7 @@ def _rate(count: int, start: float) -> str:
 
 
 def run_selftest(
-    cases: int = 300,
-    max_vertices: int = 8,
-    seed: int = 7,
-    exhaustive_n4: bool = False,
+    cases: int, max_vertices: int, seed: int, exhaustive_n4: bool
 ) -> int:
     """Run the suites, print the verdicts to stdout and the rates to stderr."""
     checked = 0

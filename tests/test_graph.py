@@ -108,6 +108,8 @@ VALIDATION_ERRORS = [
      "bundle 'z' has invalid multiplicity 0"),
     (("v", "w"), (_b("m"), _b("z", "w", "x"), _b("a", "y", "v")),
      "bundle 'z' has dangling target 'x'"),
+    # True == 1, but a bool is no multiplicity
+    (("v",), (_b("e", mult=True),), "bundle 'e' has invalid multiplicity True"),
 ]
 
 
@@ -168,6 +170,8 @@ def test_view_matches_definitions():
             assert h.successors[i] == succ
             assert h.targets(v) == targets
             assert h.kind(v) == kind
+            assert h.is_regular(v) is (kind == REGULAR)
+            assert h.is_infinite_emitter(v) is (kind == INFINITE_EMITTER)
             for k in (SINK, REGULAR, INFINITE_EMITTER):
                 assert (h.kind_mask(k) >> i & 1) == (k == kind)
             assert (h.bifurcations >> i & 1) == bif
