@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import gc
-import math
 from collections import namedtuple
 from itertools import compress
 from operator import attrgetter
@@ -353,7 +352,7 @@ class Condensation(namedtuple("Condensation", "scc_of masks dag internal order")
     component of vertex index i, ``masks[c]`` the vertex mask of component
     c and ``dag[c]`` the components it has an edge into, sorted; c is
     terminal when that is empty.  ``internal[c]`` counts the edge instances
-    that stay inside component c (``math.inf`` once an ω-bundle does), and
+    that stay inside component c (∞ once an ω-bundle does), and
     a component is trivial when that count is 0.  ``order`` lists every
     component after each component it has an edge into.
     """
@@ -364,6 +363,9 @@ class Condensation(namedtuple("Condensation", "scc_of masks dag internal order")
         """Per component, the OR of ``values`` over every component it
         reaches, itself included; linear in the DAG edges."""
         return _kernel.reach_masks(values, self.dag, self.order)
+
+
+_INF = float("inf")  # math.inf; a plain command never imports math
 
 
 @per_graph
@@ -385,7 +387,7 @@ def condense(g: Graph) -> Condensation:
             if d != c:
                 dag_sets[c].add(d)
             else:  # an edge back into c is one of the component's own
-                internal[c] += math.inf if b.mult is OMEGA else b.mult
+                internal[c] += _INF if b.mult is OMEGA else b.mult
     return Condensation(
         scc_of=tuple(labels),
         masks=tuple(masks),

@@ -55,6 +55,8 @@ def _is_scalar(k) -> bool:
 
 def _settled(acc: dict) -> dict:
     """acc without its zero terms, integral Fractions demoted to int."""
+    if "fractions" not in sys.modules:  # then every coefficient is an int
+        return {m: c for m, c in acc.items() if c}
     return {m: c if type(c) is int else _exact(c) for m, c in acc.items() if c}
 
 
@@ -142,30 +144,6 @@ def _normalize_monomial(table: _InstanceTable, m: Monomial, c, acc: dict) -> Non
         acc[mono] = acc.get(mono, 0) + c
 
 
-def _mono_mul(table: _InstanceTable, m1: Monomial, m2: Monomial):
-    """Resolve (α₁β₁*)(α₂β₂*): β₁ against α₂, matched from the start."""
-    real1, b, anchor1 = m1
-    a, ghost2, anchor2 = m2
-    lb, la = len(b), len(a)
-    if lb > la:
-        if b[:la] != a:
-            return None
-        delta = b[la:]
-        if not la and anchor2 != table[delta[0]][0]:
-            return None
-        return Monomial(real1, ghost2 + delta, anchor1)
-    if la > lb:
-        if a[:lb] != b:
-            return None
-        delta = a[lb:]
-        if not lb and anchor1 != table[delta[0]][0]:
-            return None
-        return Monomial(real1 + delta, ghost2, anchor2)
-    if b != a or (not la and anchor1 != anchor2):
-        return None
-    return Monomial(real1, ghost2, anchor2)
-
-
 class AlgebraElement:
     """Immutable normal-form linear combination of monomials.
 
@@ -174,20 +152,13 @@ class AlgebraElement:
 
     __slots__ = ("graph", "_terms")
 
-    def __init__(self, graph: Graph, terms=None, _normalized=False):
-        """``_normalized=True`` hands over a normal-form dict of nonzero
-        exact coefficients, which the element keeps without a copy."""
+    def __init__(self, graph: Graph, terms=None):
         self.graph = graph
-        if terms is None:
-            terms = {}
-        if _normalized:
-            self._terms = terms
-        else:
-            table = _instance_table(graph)
-            acc: dict = {}
-            for mono, coeff in dict(terms).items():
-                _normalize_monomial(table, mono, _exact(coeff), acc)
-            self._terms = _settled(acc)
+        table = _instance_table(graph)
+        acc: dict = {}
+        for mono, coeff in dict(terms or {}).items():
+            _normalize_monomial(table, mono, _exact(coeff), acc)
+        self._terms = _settled(acc)
 
     @property
     def terms(self) -> dict:
@@ -200,18 +171,17 @@ class AlgebraElement:
 
     @staticmethod
     def zero(g: Graph) -> "AlgebraElement":
-        return AlgebraElement(g, {}, _normalized=True)
+        return _normal(g, {})
 
     @staticmethod
     def vertex(g: Graph, v: str) -> "AlgebraElement":
         g.check_vertices((v,))
-        return AlgebraElement(g, {Monomial((), (), v): 1}, _normalized=True)
+        return _normal(g, {Monomial((), (), v): 1})
 
     @staticmethod
     def edge(g: Graph, inst: str) -> "AlgebraElement":
         b, idx = parse_instance(g, inst)
-        mono = Monomial((instance_id(b, idx),), (), b.target)
-        return AlgebraElement(g, {mono: 1}, _normalized=True)
+        return _normal(g, {Monomial((instance_id(b, idx),), (), b.target): 1})
 
     @staticmethod
     def ghost_edge(g: Graph, inst: str) -> "AlgebraElement":
@@ -236,12 +206,10 @@ class AlgebraElement:
                 out[m] = s if type(s) is int else _exact(s)
             else:
                 out.pop(m, None)
-        return AlgebraElement(self.graph, out, _normalized=True)
+        return _normal(self.graph, out)
 
     def __neg__(self):
-        return AlgebraElement(
-            self.graph, {m: -c for m, c in self._terms.items()}, _normalized=True
-        )
+        return _normal(self.graph, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -249,12 +217,16 @@ class AlgebraElement:
         return self + (-other)
 
     def scale(self, k) -> "AlgebraElement":
-        k = _exact(k)
-        return AlgebraElement(
-            self.graph,
-            _settled({m: c * k for m, c in self._terms.items()}),
-            _normalized=True,
-        )
+        if type(k) is not int:
+            k = _exact(k)
+        if not k:
+            return _normal(self.graph, {})
+        # ℚ has no zero divisors, so no term vanishes; only a product that
+        # is not an int can need demoting
+        return _normal(self.graph, {
+            m: p if type(p := c * k) is int else _exact(p)
+            for m, c in self._terms.items()
+        })
 
     def __mul__(self, other):
         if type(other) is not AlgebraElement:
@@ -266,14 +238,39 @@ class AlgebraElement:
         if other.graph is not g:
             self._require_same_graph(other)
         table = _instance_table(g)
-        right = other._terms.items()
+        left, right = self._terms, other._terms
+        single = len(left) == 1 == len(right)
+        new = tuple.__new__  # skips Monomial's Python-level __new__
         acc: dict = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in right:
-                prod = _mono_mul(table, m1, m2)
-                if prod is not None:
-                    _normalize_monomial(table, prod, c1 * c2, acc)
-        return AlgebraElement(g, _settled(acc), _normalized=True)
+        get = acc.get
+        # (α₁β₁*)(α₂β₂*): β₁ against α₂, matched from the start.  A leftover
+        # suffix keeps one operand's last real/ghost pair, which is normal,
+        # so only β₁ = α₂ can leave a pair that CK2 rewrites.
+        for (real1, b, anchor1), c1 in left.items():
+            lb = len(b)
+            for (a, ghost2, anchor2), c2 in right.items():
+                la = len(a)
+                if lb > la:
+                    if b[:la] != a or not la and anchor2 != table[b[0]][0]:
+                        continue
+                    m = new(Monomial, (real1, ghost2 + b[la:], anchor1))
+                elif la > lb:
+                    if a[:lb] != b or not lb and anchor1 != table[a[0]][0]:
+                        continue
+                    m = new(Monomial, (real1 + a[lb:], ghost2, anchor2))
+                elif b != a or not la and anchor1 != anchor2:
+                    continue
+                else:
+                    m = new(Monomial, (real1, ghost2, anchor2))
+                    if real1 and ghost2 and real1[-1] == ghost2[-1]:
+                        if table[real1[-1]][2]:  # γγ* with γ special
+                            _normalize_monomial(table, m, c1 * c2, acc)
+                            continue
+                c = c1 * c2
+                if single:  # the one product, and no rewrite
+                    return _normal(g, {m: c if type(c) is int else _exact(c)})
+                acc[m] = get(m, 0) + c
+        return _normal(g, _settled(acc) if acc else acc)
 
     def __rmul__(self, other):
         if _is_scalar(other):
@@ -281,12 +278,14 @@ class AlgebraElement:
         return NotImplemented
 
     def star(self) -> "AlgebraElement":
-        """The involution: (αβ*)* = βα*, antimultiplicative, ℚ-linear."""
-        flipped = {
-            Monomial(m.ghost, m.real, m.anchor): c
-            for m, c in self._terms.items()
-        }
-        return AlgebraElement(self.graph, flipped)
+        """The involution: (αβ*)* = βα*, antimultiplicative, ℚ-linear.
+
+        The CK2 trigger (both paths end in one special edge) reads real and
+        ghost alike, so the flip of a normal form is a normal form."""
+        return _normal(self.graph, {
+            Monomial(ghost, real, anchor): c
+            for (real, ghost, anchor), c in self._terms.items()
+        })
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -303,15 +302,21 @@ class AlgebraElement:
         return f"AlgebraElement({format_element(self)})"
 
 
+def _normal(graph: Graph, terms: dict) -> AlgebraElement:
+    """An element over ``terms``, already a normal-form dict of nonzero exact
+    coefficients, kept without a copy."""
+    a = object.__new__(AlgebraElement)
+    a.graph = graph
+    a._terms = terms
+    return a
+
+
 def graded_components(a: AlgebraElement) -> dict:
     """Split by degree(αβ*) = |α| − |β|; the components sum back to a."""
     split: dict[int, dict] = {}
     for m, c in a._terms.items():
         split.setdefault(m.degree, {})[m] = c
-    return {
-        d: AlgebraElement(a.graph, terms, _normalized=True)
-        for d, terms in sorted(split.items())
-    }
+    return {d: _normal(a.graph, terms) for d, terms in sorted(split.items())}
 
 
 def v_H_element(g: Graph, v: str, H) -> AlgebraElement:
@@ -327,7 +332,8 @@ def v_H_element(g: Graph, v: str, H) -> AlgebraElement:
             continue
         for inst in b.instances:
             terms[Monomial((inst,), (inst,), b.target)] = -1
-    return AlgebraElement(g, terms, _normalized=True)
+    # v emits infinitely many edges, so no CK2 rewrite applies at v
+    return _normal(g, terms)
 
 
 # -- rendering ---------------------------------------------------------------

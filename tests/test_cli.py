@@ -153,6 +153,31 @@ def test_report_saturation_passes_grow_nothing(capsys, monkeypatch):
         assert rounds == [0, 0], name
 
 
+# Each eval golden holds its expression.  Between them they meet a CK2
+# rewrite (b1 b1* on chain3), a ghost-side junction leftover ((e1 e2)* e1 on
+# line3), p/q coefficients landing on integers ((3/2 a1)(2/3 a1*), 1/3 v2 +
+# 2/3 v2) and products that are 0 (v1 v2).
+EVAL_GOLDENS = sorted((ROOT / "tests" / "golden").glob("eval_*.json"))
+
+
+@pytest.mark.parametrize("golden", EVAL_GOLDENS, ids=lambda p: p.stem)
+def test_eval_matches_golden(capsys, golden):
+    expected = golden.read_text(encoding="utf-8")
+    path = fixture_path(golden.stem.removeprefix("eval_"))
+    expr = json.loads(expected)["payload"]["expr"]
+    out = run_cli(capsys, "eval", path, "--expr", expr, "--json")
+    assert out == (0, expected, "")
+    check_schema("eval", expected)
+    graded = golden.with_name(f"{golden.stem}_graded.txt")
+    if graded.exists():
+        out = run_cli(capsys, "eval", path, "--expr", expr, "--graded")
+        assert out == (0, graded.read_text(encoding="utf-8"), "")
+
+
+def test_every_fixture_has_an_eval_golden():
+    assert [p.stem for p in EVAL_GOLDENS] == [f"eval_{n}" for n in FIXTURE_NAMES]
+
+
 def test_report_pretty_is_same_document(capsys):
     code, compact, _ = run_cli(capsys, "report", fixture_path("fork"))
     code2, pretty, _ = run_cli(

@@ -57,6 +57,7 @@ NOT_LOADED_BY_CLI = (
     "json",  # the compact JSON is written by _json's encoder; json loads re
     "re",  # only the term engine reads edge instances and expressions
     "enum",  # loaded by re
+    "math",  # condense counts an ω-bundle as float("inf")
 )
 
 

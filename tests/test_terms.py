@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,9 +15,10 @@ from leavittpath import (
     v_H_element,
 )
 
-from leavittpath.terms import _instance_table, element_payload
+from leavittpath.random_graphs import random_graphs
+from leavittpath.terms import Monomial, _instance_table, element_payload
 
-from conftest import fixture_graph
+from conftest import FIXTURE_NAMES, fixture_graph
 
 
 def E(g, tok):
@@ -297,3 +299,217 @@ def test_instance_table_expands_only_vertices_rewritten_at():
     assert "b" in table and "a" not in table
     assert table["e[2]"] == ("a", "b", False)
     assert table["f"] == ("b", "c", True)
+
+
+# -- the fused product against the unfused route ------------------------------
+#
+# The reference below is the product as the engine computed it before the
+# junction and the CK2 test were fused into one loop: each pair of
+# monomials is resolved on its own, and every result is handed to the full
+# rewrite.  It is slow and kept only as an oracle.
+
+
+def _reference_junction(table, m1, m2):
+    """(α₁β₁*)(α₂β₂*): β₁ against α₂, matched from the start, or None."""
+    real1, b, anchor1 = m1
+    a, ghost2, anchor2 = m2
+    lb, la = len(b), len(a)
+    if lb > la:
+        if b[:la] != a:
+            return None
+        delta = b[la:]
+        if not la and anchor2 != table[delta[0]][0]:
+            return None
+        return Monomial(real1, ghost2 + delta, anchor1)
+    if la > lb:
+        if a[:lb] != b:
+            return None
+        delta = a[lb:]
+        if not lb and anchor1 != table[delta[0]][0]:
+            return None
+        return Monomial(real1 + delta, ghost2, anchor2)
+    if b != a or (not la and anchor1 != anchor2):
+        return None
+    return Monomial(real1, ghost2, anchor2)
+
+
+def _reference_rewrite(table, m, c, acc):
+    """CK2-rewrite m to exhaustion, accumulating into acc."""
+    work = [(m, c)]
+    while work:
+        mono, c = work.pop()
+        real, ghost, _ = mono
+        if real and ghost and real[-1] == ghost[-1]:
+            gamma = real[-1]
+            v, _, special = table[gamma]
+            if special:
+                head_real, head_ghost = real[:-1], ghost[:-1]
+                work.append((Monomial(head_real, head_ghost, v), c))
+                for f, anchor in table[v]:
+                    if f != gamma:
+                        work.append(
+                            (Monomial(head_real + (f,), head_ghost + (f,), anchor), -c)
+                        )
+                continue
+        acc[mono] = acc.get(mono, 0) + c
+
+
+def _reference_product(g, x_terms, y_terms, seen=None):
+    """The terms of x·y; ``seen`` counts rewrites and cancelled terms."""
+    table = _instance_table(g)
+    acc = {}
+    for m1, c1 in x_terms.items():
+        for m2, c2 in y_terms.items():
+            prod = _reference_junction(table, m1, m2)
+            if prod is None:
+                continue
+            if seen is not None and prod.real and prod.ghost and (
+                prod.real[-1] == prod.ghost[-1] and table[prod.real[-1]][2]
+            ):
+                seen["ck2"] += 1
+            _reference_rewrite(table, prod, c1 * c2, acc)
+    if seen is not None:
+        seen["cancelled"] += sum(1 for c in acc.values() if not c)
+    return {
+        m: c if type(c) is int or c.denominator != 1 else c.numerator
+        for m, c in acc.items()
+        if c
+    }
+
+
+_SCALARS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2))
+
+
+def _generators(g):
+    """Vertices, addressable edges and their ghosts, as terms dicts."""
+    gens = [{Monomial((), (), v): 1} for v in g.vertices]
+    for b in g.bundles:
+        if not b.is_omega:
+            for inst in b.instances:
+                gens.append({Monomial((inst,), (), b.target): 1})
+                gens.append({Monomial((), (inst,), b.target): 1})
+    return gens
+
+
+def _random_element(rng, g, gens):
+    """A short sum of scaled words in the generators, multiplied out by the
+    reference and normalised by the public constructor: a normal form that
+    the fused product did not build.  One summand in three is repeated with
+    the opposite sign, so that sums cancel."""
+    acc = {}
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        word = gens[rng.randrange(len(gens))]
+        for _ in range(rng.randint(0, 4)):
+            longer = _reference_product(g, word, gens[rng.randrange(len(gens))])
+            word = longer or word  # a factor that kills the word is skipped
+        k = rng.choice(_SCALARS)
+        for sign in (1, -1) if rng.random() < 1 / 3 else (1,):
+            for m, c in word.items():
+                acc[m] = acc.get(m, 0) + sign * k * c
+    return AlgebraElement(g, acc)
+
+
+def _product_graphs():
+    graphs = [fixture_graph(name) for name in FIXTURE_NAMES]
+    graphs += random_graphs(60, 2024, max_vertices=6)
+    return [g for g in graphs if _generators(g)]
+
+
+def _flipped(terms):
+    return {Monomial(m.ghost, m.real, m.anchor): c for m, c in terms.items()}
+
+
+def _typed(terms):
+    return {m: (c, type(c)) for m, c in terms.items()}
+
+
+def test_product_matches_the_unfused_reference():
+    rng = random.Random(17)
+    seen = {"ck2": 0, "cancelled": 0, "single": 0, "fraction": 0, "zero": 0,
+            "omega": 0}
+    for g in _product_graphs():
+        gens = _generators(g)
+        seen["omega"] += any(b.is_omega for b in g.bundles)
+        for _ in range(60):
+            x, y = _random_element(rng, g, gens), _random_element(rng, g, gens)
+            if rng.random() < 0.5:  # x·x* meets every junction and rewrites
+                y += AlgebraElement(g, _flipped(x.terms))
+            expected = _reference_product(g, x.terms, y.terms, seen)
+            assert _typed((x * y).terms) == _typed(expected), (x, y)
+            seen["single"] += len(x.terms) == 1 == len(y.terms) == len(expected)
+            seen["fraction"] += any(type(c) is not int for c in (*x.terms.values(),
+                                                                 *y.terms.values()))
+            seen["zero"] += not expected
+    # the sample holds every case the fused loop treats apart
+    assert min(seen.values()) > 0, seen
+
+
+def test_products_whose_terms_cancel():
+    g = fixture_graph("chain3")
+    b2b2 = E(g, "b2") * G(g, "b2")  # b2 is not γ(v2), so b2 b2* is normal
+    x = E(g, "f1") - E(g, "f1") * b2b2
+    assert (x * b2b2).is_zero()
+    assert _reference_product(g, x.terms, b2b2.terms) == {}
+    y = E(g, "f1") + E(g, "f1") * b2b2.scale(Fraction(-1, 2))
+    assert _typed((y * b2b2.scale(2)).terms) == {
+        Monomial(("f1", "b2"), ("b2",), "v2"): (1, int)
+    }
+
+
+def test_single_term_products_demote_integral_fractions():
+    g = fixture_graph("chain3")
+    x = AlgebraElement(g, {Monomial(("f1",), (), "v2"): Fraction(2, 3)})
+    y = AlgebraElement(g, {Monomial(("b2",), (), "v2"): Fraction(3, 2)})
+    assert _typed((x * y).terms) == {Monomial(("f1", "b2"), (), "v2"): (1, int)}
+    # and a single-term product that CK2 rewrites into several terms
+    z = AlgebraElement(g, {Monomial((), ("b1",), "v2"): Fraction(3, 2)})
+    b1 = AlgebraElement(g, {Monomial(("b1",), (), "v2"): Fraction(2, 3)})
+    assert _typed((b1 * z).terms) == _typed(
+        _reference_product(g, b1.terms, z.terms)
+    )
+    assert b1 * z == V(g, "v2") - E(g, "b2") * G(g, "b2") - E(g, "f2") * G(g, "f2")
+
+
+def test_scale_by_an_int_demotes_fractions_it_makes_whole():
+    g = fixture_graph("line2")
+    half = V(g, "v1").scale(Fraction(1, 2)) + E(g, "e1").scale(Fraction(1, 3))
+    assert _typed(half.scale(6).terms) == {
+        Monomial((), (), "v1"): (3, int),
+        Monomial(("e1",), (), "v2"): (2, int),
+    }
+    assert _typed(half.scale(2).terms) == {
+        Monomial((), (), "v1"): (1, int),
+        Monomial(("e1",), (), "v2"): (Fraction(2, 3), Fraction),
+    }
+    assert half.scale(0).is_zero() and half.scale(Fraction(0)).is_zero()
+
+
+# -- the involution keeps normal form; the public constructor normalises ------
+
+
+def test_star_is_the_normalised_flip_and_an_involution():
+    rng = random.Random(5)
+    omega = 0
+    for g in _product_graphs():
+        gens = _generators(g)
+        omega += any(b.is_omega for b in g.bundles)
+        for _ in range(10):
+            x = _random_element(rng, g, gens)
+            flipped = AlgebraElement(g, _flipped(x.terms))
+            assert _typed(x.star().terms) == _typed(flipped.terms)
+            assert x.star().star() == x
+    assert omega > 0
+
+
+def test_public_constructor_rewrites_by_ck2():
+    g = fixture_graph("chain3")
+    gamma = Monomial(("b1",), ("b1",), "v2")  # b1 is γ(v2), v2 is regular
+    expected = V(g, "v2") - E(g, "b2") * G(g, "b2") - E(g, "f2") * G(g, "f2")
+    assert AlgebraElement(g, {gamma: 1}) == expected
+    assert AlgebraElement(g, {gamma: Fraction(4, 2)}) == expected.scale(2)
+    assert _typed(AlgebraElement(g, {gamma: Fraction(4, 2)}).terms) == _typed(
+        expected.scale(2).terms
+    )
+    # nested: f1 b1 b1* f1* rewrites at v2, then f1 f1* stays (a1 is γ(v1))
+    nested = Monomial(("f1", "b1"), ("f1", "b1"), "v2")
+    assert AlgebraElement(g, {nested: 1}) == E(g, "f1") * expected * G(g, "f1")
