@@ -55,8 +55,6 @@ def _is_scalar(k) -> bool:
 
 def _settled(acc: dict) -> dict:
     """acc without its zero terms, integral Fractions demoted to int."""
-    if "fractions" not in sys.modules:  # then every coefficient is an int
-        return {m: c for m, c in acc.items() if c}
     return {m: c if type(c) is int else _exact(c) for m, c in acc.items() if c}
 
 
@@ -217,8 +215,7 @@ class AlgebraElement:
         return self + (-other)
 
     def scale(self, k) -> "AlgebraElement":
-        if type(k) is not int:
-            k = _exact(k)
+        k = _exact(k)
         if not k:
             return _normal(self.graph, {})
         # ℚ has no zero divisors, so no term vanishes; only a product that

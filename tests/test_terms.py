@@ -16,7 +16,12 @@ from leavittpath import (
 )
 
 from leavittpath.random_graphs import random_graphs
-from leavittpath.terms import Monomial, _instance_table, element_payload
+from leavittpath.terms import (
+    Monomial,
+    _instance_table,
+    _normalize_monomial,
+    element_payload,
+)
 
 from conftest import FIXTURE_NAMES, fixture_graph
 
@@ -306,7 +311,9 @@ def test_instance_table_expands_only_vertices_rewritten_at():
 # The reference below is the product as the engine computed it before the
 # junction and the CK2 test were fused into one loop: each pair of
 # monomials is resolved on its own, and every result is handed to the full
-# rewrite.  It is slow and kept only as an oracle.
+# rewrite, `_normalize_monomial`.  The junction is kept here as a copy,
+# since the engine no longer has it on its own; it is slow and kept only
+# as an oracle.
 
 
 def _reference_junction(table, m1, m2):
@@ -333,27 +340,6 @@ def _reference_junction(table, m1, m2):
     return Monomial(real1, ghost2, anchor2)
 
 
-def _reference_rewrite(table, m, c, acc):
-    """CK2-rewrite m to exhaustion, accumulating into acc."""
-    work = [(m, c)]
-    while work:
-        mono, c = work.pop()
-        real, ghost, _ = mono
-        if real and ghost and real[-1] == ghost[-1]:
-            gamma = real[-1]
-            v, _, special = table[gamma]
-            if special:
-                head_real, head_ghost = real[:-1], ghost[:-1]
-                work.append((Monomial(head_real, head_ghost, v), c))
-                for f, anchor in table[v]:
-                    if f != gamma:
-                        work.append(
-                            (Monomial(head_real + (f,), head_ghost + (f,), anchor), -c)
-                        )
-                continue
-        acc[mono] = acc.get(mono, 0) + c
-
-
 def _reference_product(g, x_terms, y_terms, seen=None):
     """The terms of x·y; ``seen`` counts rewrites and cancelled terms."""
     table = _instance_table(g)
@@ -367,7 +353,7 @@ def _reference_product(g, x_terms, y_terms, seen=None):
                 prod.real[-1] == prod.ghost[-1] and table[prod.real[-1]][2]
             ):
                 seen["ck2"] += 1
-            _reference_rewrite(table, prod, c1 * c2, acc)
+            _normalize_monomial(table, prod, c1 * c2, acc)
     if seen is not None:
         seen["cancelled"] += sum(1 for c in acc.values() if not c)
     return {
