@@ -16,6 +16,9 @@ from its path-vertex to r(path).
 A path is a sequence of edge *instances*; a finite bundle of multiplicity k
 contributes k parallel instances, so multiplicities multiply the number of
 F-paths and any admissible ω position makes an F-set infinite outright.
+Each F-set is listed shortest first, by the walk that counts it, and
+``path_vertex_table`` keeps that order, F₁ before F₂; the bar edges are
+sorted by name.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ def _route_bundles(g: Graph, hset: set, sset: set):
 
 
 def _route_table(g: Graph, mid, final):
-    """(finite, usable vertices, mid bundles by source, final bundles by source).
+    """(finite, mid bundles by target, final bundles by source).
 
     Usable vertices reach a final bundle along ω-free mids; the lists leave
     ω out and keep the bundle-id order.  The F-set is infinite when a final,
@@ -87,10 +90,9 @@ def _route_table(g: Graph, mid, final):
     route = Graph(g.vertices, free_mid)
     usable_mask = route.reaching(route.mask_of(b.source for b in free_final))
     usable = set(route.set_of(usable_mask))
-    mid_from: dict[str, list[EdgeBundle]] = {}
+    mid_into: dict[str, list[EdgeBundle]] = {}
     for b in free_mid:
-        if b.target in usable:  # then so is its source
-            mid_from.setdefault(b.source, []).append(b)
+        mid_into.setdefault(b.target, []).append(b)
     final_from: dict[str, list[EdgeBundle]] = {}
     for b in free_final:
         final_from.setdefault(b.source, []).append(b)
@@ -102,22 +104,18 @@ def _route_table(g: Graph, mid, final):
             mask & usable_mask and k for mask, k in zip(cond.masks, cond.internal)
         )
     )
-    return finite, usable, mid_from, final_from
+    return finite, mid_into, final_from
 
 
 def _count_paths(route, depth_limit) -> tuple[int, int]:
-    """Number and total length of the F-paths ``_enumerate_paths`` lists.
+    """Number and total length of the F-paths ``_list_paths`` lists.
 
     ``level`` counts the paths of length k by start vertex.  A path's suffix
     is a path, so once no path has length k none is longer; until then each
     k adds k edges or more, so counting soon passes MAX_PATH_EDGES and stops
     there (the totals are then lower bounds).
     """
-    _, _, mid_from, final_from = route
-    mid_into: dict[str, list[EdgeBundle]] = {}
-    for bundles in mid_from.values():
-        for b in bundles:
-            mid_into.setdefault(b.target, []).append(b)
+    _, mid_into, final_from = route
     level = {v: sum(b.mult for b in bs) for v, bs in final_from.items()}
     paths = edges = k = 0
     while level and edges <= MAX_PATH_EDGES and k != depth_limit:
@@ -132,42 +130,28 @@ def _count_paths(route, depth_limit) -> tuple[int, int]:
     return paths, edges
 
 
-def _enumerate_paths(route, depth_limit) -> list[tuple[tuple[str, ...], str]]:
-    """All admissible F-paths as (instance-id tuple, range) pairs (ω-free,
-    depth-capped).
-
-    Deterministic order: starts sorted, bundles by id, instances by index.
+def _list_paths(route, depth_limit) -> list[tuple[tuple[str, ...], str]]:
+    """The F-paths ``_count_paths`` counts, as (instance-id tuple, range)
+    pairs, shortest first: ``level`` holds the paths of length k by start
+    vertex, and each mid instance into a start prefixes every one of them.
     """
-    _, usable, mid_from, final_from = route
-    out: list[tuple[tuple[str, ...], str]] = []
-
-    def visit(u: str, prefix: list[str]):
-        """Emit ``prefix`` plus each final instance leaving u; return the
-        (instance, target) mid steps that extend ``prefix`` from u."""
-        if depth_limit is not None and len(prefix) >= depth_limit:
-            return iter(())
-        for b in final_from.get(u, ()):
-            for inst in b.instances:
-                out.append(((*prefix, inst), b.target))
-        return iter(
-            [(inst, b.target) for b in mid_from.get(u, ()) for inst in b.instances]
-        )
-
-    # Depth-first with an explicit stack, so long paths need no recursion;
-    # stack[k] holds the remaining steps after prefix[:k].
-    for u in sorted(usable):
-        prefix: list[str] = []
-        stack = [visit(u, prefix)]
-        while stack:
-            step = next(stack[-1], None)
-            if step is None:
-                stack.pop()
-                if prefix:
-                    prefix.pop()
-                continue
-            inst, target = step
-            prefix.append(inst)
-            stack.append(visit(target, prefix))
+    _, mid_into, final_from = route
+    level = {
+        v: [((i,), b.target) for b in bs for i in b.instances]
+        for v, bs in final_from.items()
+    }
+    out = []
+    k = 0
+    while level and k != depth_limit:
+        k += 1
+        below: dict[str, list] = {}
+        for t, paths in level.items():
+            out += paths
+            for b in mid_into.get(t, ()):
+                longer = below.setdefault(b.source, [])
+                for i in b.instances:
+                    longer += [((i,) + p, r) for p, r in paths]
+        level = below
     return out
 
 
@@ -193,7 +177,7 @@ def build_hedgehog(g: Graph, H, S, depth_limit: int = 6) -> HedgehogGraph:
             f"with at least {edges} edges in all; at most {MAX_PATH_EDGES} "
             "edges are listed"
         )
-    found = [path for route in routes for path in _enumerate_paths(route, cap)]
+    found = [path for route in routes for path in _list_paths(route, cap)]
     paths = {path_vertex_name(p): (p, target) for p, target in found}
     table = {name: p for name, (p, _) in paths.items()}
     vertices = sorted(hset | sset | set(table))

@@ -150,16 +150,6 @@ def largest_ideals_report(g: Graph) -> LargestIdealsReport:
             "four-set union failed the density check", to_text(g)
         )
 
-    notes = []
-    if cls.p_binf:
-        notes.append(_FINITE_FRAGMENT_NOTE)
-    for v, count in cls.exchange_breaking:
-        if count == 0:
-            notes.append(
-                f"breaking vertex '{v}' emits no edges outside the closure; "
-                "it participates with an empty finite sum"
-            )
-
     return LargestIdealsReport(
         semisimple_gens=cls.p_l,
         loc_noetherian_gens=g.set_of(masks.p_l | masks.p_c),
@@ -171,5 +161,5 @@ def largest_ideals_report(g: Graph) -> LargestIdealsReport:
         dense_witnesses=dict(zip(g.vertices, witnesses)),
         pi_classes=pi_decomposition(g),
         exchange_breaking=cls.exchange_breaking,
-        notes=tuple(notes),
+        notes=(_FINITE_FRAGMENT_NOTE,) if cls.p_binf else (),
     )

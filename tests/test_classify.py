@@ -21,8 +21,9 @@ from leavittpath import (
     parse_graph,
     to_text,
 )
+from leavittpath.random_graphs import _graph_from_code
 
-from conftest import fixture_graph
+from conftest import fixture_graph, omega_sweep_codes
 
 
 def test_csp_classes_chain3sink():
@@ -185,6 +186,18 @@ def test_p_ex_adds_breaking_vertices():
     assert classify(g2).p_K == ("h",)
     c2 = classify(g2)
     assert c2.p_ex == ("h", "u")  # u breaks {h}: omega into it, one escape
+
+
+def test_exchange_breaking_vertices_have_edges_outside_p_k():
+    # u outside P_(K) reaches a One vertex; were every edge of u in P_(K),
+    # that vertex would be u, whose cycle edge stays in u's SCC outside P_(K)
+    met = 0
+    for n, code in omega_sweep_codes():
+        g = _graph_from_code(n, code)
+        breaking = classify(g).exchange_breaking
+        assert all(count >= 1 for _, count in breaking), to_text(g)
+        met += bool(breaking)
+    assert met
 
 
 def test_p_ppi_requires_tree_inside_p_pi():

@@ -11,12 +11,12 @@ import sys
 import jsonschema
 import pytest
 
-from leavittpath import InvariantViolation
+from leavittpath import InvariantViolation, breaking_vertices, hs_closure
 from leavittpath import _kernel, cli
 from leavittpath.graph import to_text
 from leavittpath.random_graphs import enumerate_graphs, random_graphs
 
-from conftest import FIXTURE_NAMES, ROOT, fixture_path
+from conftest import FIXTURE_NAMES, ROOT, fixture_graph, fixture_path
 
 SCHEMAS = pathlib.Path(ROOT) / "docs" / "schemas"
 
@@ -178,6 +178,24 @@ def test_every_fixture_has_an_eval_golden():
     assert [p.stem for p in EVAL_GOLDENS] == [f"eval_{n}" for n in FIXTURE_NAMES]
 
 
+# H is the closure of the fixture's last vertex and S its breaking vertices.
+# chain3, chain3sink, fork and twoloop-oneloop come out truncated, omega-h
+# and six have one F-path each, and the lines have none.
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_hedgehog_matches_golden(capsys, name):
+    g = fixture_graph(name)
+    H = hs_closure(g, g.vertices[-1:]).members
+    S = breaking_vertices(g, H).members
+    golden = ROOT / "tests" / "golden" / f"hedgehog_{name}.json"
+    expected = golden.read_text(encoding="utf-8")
+    out = run_cli(
+        capsys, "hedgehog", fixture_path(name),
+        "--H", ",".join(H), "--S", ",".join(S), "--depth", "3",
+    )
+    assert out == (0, expected, "")
+    check_schema("hedgehog", expected)
+
+
 def test_report_pretty_is_same_document(capsys):
     code, compact, _ = run_cli(capsys, "report", fixture_path("fork"))
     code2, pretty, _ = run_cli(
@@ -189,11 +207,13 @@ def test_report_pretty_is_same_document(capsys):
 
 
 def test_eval_text(capsys):
-    code, out, _ = run_cli(
-        capsys, "eval", fixture_path("line2"), "--expr", "e1* e1"
-    )
-    assert code == 0
-    assert out == "1 · v2\n"
+    # trailing blanks end the expression like its end
+    for expr in ("e1* e1", "e1* e1 "):
+        code, out, _ = run_cli(
+            capsys, "eval", fixture_path("line2"), "--expr", expr
+        )
+        assert code == 0
+        assert out == "1 · v2\n"
 
 
 def test_eval_deep_nesting_exits_2(capsys):
@@ -374,6 +394,60 @@ def test_selftest_exhaustive_n4_sweeps_enumerated_graphs(capsys, monkeypatch):
         assert re.fullmatch(rf"  \.\.\. {swept} graphs swept" + rate, line)
 
 
+def _reproducer(context, g):
+    return (
+        f"selftest failure ({context}): planted\n--- reproducer graph ---\n"
+        f"{to_text(g)}--- end reproducer ---\n"
+    )
+
+
+def test_selftest_failure_prints_the_reproducer_and_exits_3(
+    capsys, monkeypatch
+):
+    from leavittpath import selftest
+
+    seen = []
+
+    def fail_on_case_4(g):
+        seen.append(g)
+        if len(seen) == 5:
+            raise selftest._Mismatch("planted")
+
+    monkeypatch.setattr(selftest, "check_graph", fail_on_case_4)
+    code, out, err = run_cli(
+        capsys, "selftest", "--cases", "9", "--max-vertices", "5",
+        "--seed", "3",
+    )
+    assert (code, out) == (3, "")
+    g = list(random_graphs(5, 3, max_vertices=5))[4]
+    assert err == _reproducer("case 4, seed 3", g)
+
+
+def test_selftest_sweep_failure_names_the_graph_and_exits_3(
+    capsys, monkeypatch
+):
+    from leavittpath import selftest
+
+    graphs = list(itertools.islice(enumerate_graphs(4, max_mult=2), 30))
+
+    def fail_on_graph_17(g):
+        if g is graphs[17]:
+            raise selftest._Mismatch("planted")
+
+    monkeypatch.setattr(selftest, "enumerate_graphs", lambda n, max_mult: graphs)
+    monkeypatch.setattr(selftest, "check_graph", lambda g: None)
+    monkeypatch.setattr(selftest, "check_oracles", fail_on_graph_17)
+    code, out, err = run_cli(capsys, "selftest", "--cases", "1", "--exhaustive-n4")
+    assert code == 3
+    assert out == (
+        "selftest: 1 random graphs (max 8 vertices, seed 7) passed all "
+        "property checks\n"
+    )
+    checked, failure = err.split("\n", 1)
+    assert checked.startswith("  ... 1 random graphs checked (")
+    assert failure == _reproducer("exhaustive n=4 graph 17", graphs[17])
+
+
 @pytest.mark.parametrize("option,value", [
     ("--max-vertices", "0"),
     ("--max-vertices", "-3"),
@@ -431,9 +505,12 @@ def test_graph_numerals_are_ascii_and_bounded(tmp_path, capsys, text, message):
         ("7" * 5000 + " a", "column 1: number has too many digits"),
         ("1/" + "7" * 5000 + " a", "column 1: number has too many digits"),
         ("e[" + "1" * 5000 + "]", "column 1: instance index of 'e' has too many"),
+        ("1/0 a", "column 1: zero denominator"),
+        ("a )", "column 3: unexpected token ')'"),
     ],
     ids=["arabic-indic-digit", "arabic-indic-index", "5000-digits",
-         "5000-digit-denominator", "5000-digit-index"],
+         "5000-digit-denominator", "5000-digit-index", "zero-denominator",
+         "unopened-parenthesis"],
 )
 def test_eval_numerals_are_ascii_and_bounded(tmp_path, capsys, expr, message):
     path = tmp_path / "g.lpa"

@@ -1,13 +1,20 @@
+import itertools
+import random
+
 import pytest
 
 from leavittpath import (
     GraphValidationError,
+    breaking_vertices,
     build_hedgehog,
     parse_graph,
     to_dot,
+    to_text,
 )
+from leavittpath.oracles import hereditary_sets
+from leavittpath.random_graphs import _graph_from_code
 
-from conftest import fixture_graph
+from conftest import fixture_graph, omega_sweep_codes
 
 
 def test_finite_hedgehog_line():
@@ -182,3 +189,70 @@ def test_deep_truncation_is_refused():
     assert len(hh.path_vertex_table) == 1000
     with pytest.raises(GraphValidationError, match="at most 1000000 edges"):
         build_hedgehog(g, ("h",), (), depth_limit=10**9)
+
+
+def _instance_paths(g, length):
+    """Every edge-instance path of 1 to ``length`` edges, as a tuple of
+    (instance, source, range) steps; an ω-bundle is one instance, None."""
+    steps = [
+        (inst, b.source, b.target)
+        for b in g.bundles
+        for inst in ((None,) if b.is_omega else b.instances)
+    ]
+    level = [(step,) for step in steps]
+    out = list(level)
+    for _ in range(length - 1):
+        level = [p + (s,) for p in level for s in steps if s[1] == p[-1][2]]
+        out += level
+    return out
+
+
+def _is_f_path(path, H, S):
+    """F₁ or F₂ membership, as the module docstring defines them."""
+    *inner, last = [r for _, _, r in path]
+    if last in H:
+        return path[-1][1] not in H | S and H.isdisjoint(inner)
+    return last in S and S.isdisjoint(inner)
+
+
+def test_f_paths_match_their_definition():
+    depth = 3
+    codes = list(omega_sweep_codes())
+    sample = [c for c in codes if c[0] < 3]
+    sample += random.Random(26).sample([c for c in codes if c[0] == 3], 150)
+    for n, code in sample:
+        g = _graph_from_code(n, code)
+        # a path longer than n repeats a vertex, and its suffix of n + 1
+        # edges is an F-path as well
+        every = _instance_paths(g, max(depth, n + 1))
+        for H in hereditary_sets(g):
+            B = breaking_vertices(g, H).members
+            for S in itertools.chain.from_iterable(
+                itertools.combinations(B, k) for k in range(len(B) + 1)
+            ):
+                f = [
+                    (tuple(i for i, _, _ in p), p[-1][2])
+                    for p in every
+                    if _is_f_path(p, H, set(S))
+                ]
+                finite = all(len(ids) <= n and None not in ids for ids, _ in f)
+                listed = {
+                    ".".join(ids): (ids, r)
+                    for ids, r in f
+                    if None not in ids and (finite or len(ids) <= depth)
+                }
+                hh = build_hedgehog(g, H, S, depth)
+                where = (to_text(g), sorted(H), S)
+                assert hh.finite == finite, where
+                assert hh.truncated_at == (None if finite else depth), where
+                assert hh.path_vertex_table == {
+                    "p:" + name: ids for name, (ids, _) in listed.items()
+                }, where
+                assert {
+                    b.id: (b.source, b.target)
+                    for b in hh.base.bundles
+                    if b.id.startswith("bar:")
+                } == {
+                    "bar:" + name: ("p:" + name, r)
+                    for name, (_, r) in listed.items()
+                }, where

@@ -46,7 +46,7 @@ from leavittpath.oracles import (
 from leavittpath.random_graphs import _graph_from_code, random_graphs
 from leavittpath.selftest import check_oracles
 
-from conftest import fixture_graph
+from conftest import fixture_graph, omega_sweep_codes
 
 
 def test_simple_cycles_enumeration():
@@ -234,17 +234,6 @@ def test_graph_pickles_with_its_oracle_memo():
     assert copy._memo.keys() == g._memo.keys()  # answered from the memo
 
 
-def _omega_sweep_codes():
-    """All codes for n <= 2 and 3,000 seeded n = 3 codes over {0, 1, 2, ω}."""
-    mults = (0, 1, 2, OMEGA)
-    for n in (1, 2):
-        for code in itertools.product(mults, repeat=n * n):
-            yield n, code
-    rng = random.Random(20191)
-    for _ in range(3000):
-        yield 3, tuple(rng.choice(mults) for _ in range(9))
-
-
 def _check_tree_and_reaching(g, reach, masks):
     """g.tree_mask and g.reaching against the sets read off reach_sets."""
     for mask in masks:
@@ -266,7 +255,7 @@ def test_tree_mask_and_reaching_match_reach_sets():
 
 
 def test_csp_and_cycle_sets_match_oracles_with_omega():
-    for n, code in _omega_sweep_codes():
+    for n, code in omega_sweep_codes():
         g = _graph_from_code(n, code)
         reach = reach_sets(g)
         # every subset of the at most 3 vertices, single vertices included
@@ -315,7 +304,7 @@ def _saturate_once_by_definition(g, X):
 
 
 def test_saturation_matches_definitions_with_omega():
-    for n, code in _omega_sweep_codes():
+    for n, code in omega_sweep_codes():
         g = _graph_from_code(n, code)
         subsets = [
             frozenset(c)
