@@ -6,7 +6,9 @@ digest is the sha256 of the canonical graph serialization.  Output is
 deterministic: keys sorted, arrays pre-sorted by the library.
 
 Exit codes: 0 success, 2 usage/parse errors or an unreadable graph file,
-3 internal invariant violations (those also dump a reproducer to stderr).
+3 internal invariant violations.  ``run`` alone prints a failure: an
+``InvariantViolation`` as its detail and ``graph.reproducer`` block, any
+other ``LpaError`` as one ``error:`` line.
 A reader that closes stdout early (``lpa report g.lpa | head -c 10``)
 ends the command quietly with exit 0: what it read is all it wanted.
 """
@@ -18,19 +20,14 @@ import types
 
 from .classify import classify
 from .closures import breaking_vertices, hs_closure
-from .errors import (
-    ExpressionError,
-    GraphSyntaxError,
-    GraphValidationError,
-    InvariantViolation,
-)
+from .errors import GraphSyntaxError, InvariantViolation, LpaError
 from .graph import INFINITE_EMITTER, REGULAR, SINK, Graph, graph_digest, mult_to_json
-from .graph import parse_graph, to_dot
+from .graph import parse_graph, reproducer, to_dot
 
 SCHEMA_VERSION = "1"
 
 
-class _UnreadableFile(Exception):
+class _UnreadableFile(LpaError):
     """The graph file could not be read; the message is the OSError's."""
 
 
@@ -418,14 +415,9 @@ def run(argv=None) -> int:
         return args.func(args)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
-        if exc.graph_text:
-            print("--- reproducer graph ---", file=sys.stderr)
-            print(exc.graph_text, end="", file=sys.stderr)
-            print("--- end reproducer ---", file=sys.stderr)
+        print(reproducer(exc.graph), end="", file=sys.stderr)
         return 3
-    except (
-        GraphSyntaxError, GraphValidationError, ExpressionError, _UnreadableFile
-    ) as exc:
+    except LpaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

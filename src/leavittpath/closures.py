@@ -16,7 +16,7 @@ from collections import namedtuple
 
 from . import _kernel
 from .errors import GraphValidationError, InvariantViolation
-from .graph import INFINITE_EMITTER, OMEGA, REGULAR, Graph, per_graph, to_text
+from .graph import INFINITE_EMITTER, OMEGA, REGULAR, Graph, per_graph
 
 
 @per_graph
@@ -122,7 +122,7 @@ def closure_mask(g: Graph, seed: int) -> tuple[int, int]:
         raise InvariantViolation(
             f"closure of {list(g.set_of(seed))} is not hereditary+saturated: "
             f"{g.set_of(mask)}",
-            graph_text=to_text(g),
+            g,
         )
     return mask, rounds
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: ``InvariantViolation`` when
+the program is wrong (``lpa`` exits 3), any other ``LpaError`` when its
+input is (``lpa`` exits 2)."""
 
 from __future__ import annotations
 
@@ -32,13 +34,16 @@ class ExpressionError(LpaError):
 
 
 class InvariantViolation(LpaError):
-    """An internal consistency check failed.
+    """An internal consistency check failed on ``graph``.
 
-    Carries enough context to reproduce: the canonical graph text (when one
-    is available) and a human-readable detail string.
+    ``detail`` says which; ``graph.reproducer(graph)`` renders the graph
+    the check ran on, so the failure can be replayed.
     """
 
-    def __init__(self, detail: str, graph_text: str | None = None):
+    def __init__(self, detail: str, graph):
         super().__init__(detail)
         self.detail = detail
-        self.graph_text = graph_text
+        self.graph = graph
+
+    def __reduce__(self):
+        return type(self), (self.detail, self.graph)

@@ -590,6 +590,17 @@ def to_dot(g: Graph) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def reproducer(g: Graph) -> str:
+    """The block that names ``g`` after an invariant violation: its text,
+    or, when an id has no text form (a hedgehog's path vertex), a ``#``
+    line naming that id and then its DOT."""
+    try:
+        body = to_text(g)
+    except GraphValidationError as exc:
+        body = f"# {exc}\n{to_dot(g)}"
+    return f"--- reproducer graph ---\n{body}--- end reproducer ---\n"
+
+
 # -- edge instances ---------------------------------------------------------
 
 def parse_instance(g: Graph, token: str) -> tuple[EdgeBundle, int]:
@@ -614,13 +625,11 @@ def parse_instance(g: Graph, token: str) -> tuple[EdgeBundle, int]:
         raise GraphValidationError(
             f"'{token}' refers to omega bundle '{eid}'; its members are not addressable"
         )
-    if m.group("idx") is None:
-        if b.mult != 1:
-            raise GraphValidationError(
-                f"bundle '{eid}' has multiplicity {b.mult}; "
-                f"use '{eid}[i]' with 1 <= i <= {b.mult}"
-            )
-        return b, 1
+    if m.group("idx") is None:  # "e" of multiplicity 1 was read above
+        raise GraphValidationError(
+            f"bundle '{eid}' has multiplicity {b.mult}; "
+            f"use '{eid}[i]' with 1 <= i <= {b.mult}"
+        )
     try:
         idx = int(m.group("idx"))
     except ValueError:  # past int()'s digit limit

@@ -160,6 +160,8 @@ def build_hedgehog(g: Graph, H, S, depth_limit: int = 6) -> HedgehogGraph:
 
     When the F-path sets are infinite, all ω-free F-paths of length up to
     ``depth_limit`` are materialized and ``truncated_at`` records the cap.
+    Two F-paths, or an F-path and a vertex of H ∪ S, that would get one
+    vertex name are refused.
     """
     if depth_limit < 1:
         raise GraphValidationError("depth_limit must be >= 1")
@@ -179,8 +181,14 @@ def build_hedgehog(g: Graph, H, S, depth_limit: int = 6) -> HedgehogGraph:
         )
     found = [path for route in routes for path in _list_paths(route, cap)]
     paths = {path_vertex_name(p): (p, target) for p, target in found}
+    taken = hset | sset
+    if len(paths) < len(found) or not taken.isdisjoint(paths):
+        # the first name taken twice; set.add returns None
+        names = (path_vertex_name(p) for p, _ in found)
+        name = next(n for n in names if n in taken or taken.add(n))
+        raise GraphValidationError(f"two hedgehog vertices share the name '{name}'")
     table = {name: p for name, (p, _) in paths.items()}
-    vertices = sorted(hset | sset | set(table))
+    vertices = sorted(taken.union(table))
     bundles = [b for b in g.bundles if b.source in hset]
     bundles += [
         b for b in g.bundles if b.source in sset and b.target in hset

@@ -17,7 +17,7 @@ from . import _kernel
 from .classify import _classify_masks, classify
 from .closures import breaking_vertices, density_witnesses, hs_closure
 from .errors import GraphValidationError, InvariantViolation
-from .graph import Graph, condense, per_graph, to_text
+from .graph import Graph, condense, per_graph
 
 
 class GradedIdealDescriptor(namedtuple("GradedIdealDescriptor", "graph H S")):
@@ -84,7 +84,7 @@ def pi_decomposition(g: Graph) -> tuple[CycleClass, ...]:
             pec_cover |= mask
     if pec_cover != pec:
         raise InvariantViolation(
-            "P_pec is not covered by its terminal cycle classes", to_text(g)
+            "P_pec is not covered by its terminal cycle classes", g
         )
 
     seeds = [i for i, m in enumerate(cond.masks) if cond.internal[i] and not m & ~prime]
@@ -111,7 +111,7 @@ def pi_decomposition(g: Graph) -> tuple[CycleClass, ...]:
     covered = sum(trees)  # the trees are disjoint
     if covered & pec:
         raise InvariantViolation(
-            f"cycle-class trees overlap at '{g.set_of(covered & pec)[0]}'", to_text(g)
+            f"cycle-class trees overlap at '{g.set_of(covered & pec)[0]}'", g
         )
     classes += [
         CycleClass(
@@ -146,9 +146,7 @@ def largest_ideals_report(g: Graph) -> LargestIdealsReport:
     witnesses = density_witnesses(g, union)
     dense = None not in witnesses
     if g.vertices and not dense:
-        raise InvariantViolation(
-            "four-set union failed the density check", to_text(g)
-        )
+        raise InvariantViolation("four-set union failed the density check", g)
 
     return LargestIdealsReport(
         semisimple_gens=cls.p_l,

@@ -2,8 +2,10 @@
 
 Reruns the library's structural invariants and oracle cross-checks on a
 stream of seeded random graphs, so the checks shipped with the test suite
-can be reproduced from the installed binary alone.  Any failure prints a
-reproducer graph to stderr and exits with status 3.
+can be reproduced from the installed binary alone.  Every check raises
+``InvariantViolation`` on the graph it ran on; ``run_selftest`` re-raises
+it with the case and seed in front of the detail, and ``lpa`` prints it
+with the reproducer graph and exits with status 3.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import time
 from .classify import _classify_masks, classify, csp_class, properly_infinite
 from .closures import breaking_capable_mask, closure_mask, hs_closure
 from .errors import InvariantViolation
-from .graph import Graph, condense, to_text
+from .graph import Graph, condense
 from .ideals import largest_ideals_report, pi_decomposition
 from .oracles import (
     b_infinity_oracle,
@@ -31,25 +33,6 @@ from .random_graphs import enumerate_graphs, random_graphs
 
 # exhaustive-sweep graphs between two progress lines on stderr
 PROGRESS_EVERY = 1_000_000
-
-
-class _Mismatch(Exception):
-    pass
-
-
-def _fail(detail: str) -> None:
-    raise _Mismatch(detail)
-
-
-def check_invariants(g: Graph) -> None:
-    """Structural invariants every graph must satisfy (criterion-style)."""
-    masks = _classify_masks(g)
-    if masks.p_ec & ~masks.p_ppi:
-        _fail("P_ec not contained in P_ppi")
-    if masks.p_ppi & ~masks.p_pi:
-        _fail("P_ppi not contained in P_pi")
-    # raises when the union of the four classifier sets is not dense
-    largest_ideals_report(g)
 
 
 def check_maximality(g: Graph) -> None:
@@ -74,64 +57,48 @@ def check_maximality(g: Graph) -> None:
             continue
         if not closure_mask(g, ppi | 1 << i)[0] & spoilers:
             v = g.vertices[i]
-            _fail(f"closure of P_ppi plus '{v}' is still purely infinite")
+            raise InvariantViolation(
+                f"closure of P_ppi plus '{v}' is still purely infinite", g
+            )
         passed.add(tree)
+
+
+def _oracle_pairs(g: Graph):
+    """(check, fast answer, oracle answer) of each cross-check, computed as
+    they are read, so the first disagreement ends the rest."""
+    for v in g.vertices:
+        yield f"csp_class({v})", csp_class(g, v), csp_class_oracle(g, v)
+    for v in g.vertices:
+        slow = tuple(sorted(hs_closure_oracle(g, (v,))))
+        yield f"hs_closure({{{v}}})", hs_closure(g, (v,)).members, slow
+    c = classify(g)
+    yield "extreme_cycles", c.p_ec, extreme_cycles_oracle(g)
+    yield "line_points", c.p_l, line_points_oracle(g)
+    yield "cycles_without_exits", c.p_c, cycles_without_exits_oracle(g)
+    yield "b_infinity", c.p_binf, b_infinity_oracle(g)
+    if len(g.vertices) <= 5:
+        slow = properly_infinite_subsets_oracle(g)
+        yield "properly_infinite", properly_infinite(g), slow
+    # the P′ classes against cycle enumeration and union-find
+    classes = pi_decomposition(g)
+    fast = sorted(frozenset(cl.class_vertices) for cl in classes if cl.kind == "Pprime")
+    yield "P' classes", fast, sorted(pprime_classes_oracle(g, set(c.p_prime)))
 
 
 def check_oracles(g: Graph) -> None:
     """Cross-check the fast paths against the slow reference definitions."""
-    for v in g.vertices:
-        fast, slow = csp_class(g, v), csp_class_oracle(g, v)
+    for name, fast, slow in _oracle_pairs(g):
         if fast != slow:
-            _fail(f"csp_class({v}): fast {fast} != oracle {slow}")
-    for v in g.vertices:
-        fast_m = hs_closure(g, (v,)).members
-        slow_m = tuple(sorted(hs_closure_oracle(g, (v,))))
-        if fast_m != slow_m:
-            _fail(f"hs_closure({{{v}}}) disagrees with naive fixpoint")
-    c = classify(g)
-    pairs = [
-        (c.p_ec, extreme_cycles_oracle, "extreme_cycles"),
-        (c.p_l, line_points_oracle, "line_points"),
-        (c.p_c, cycles_without_exits_oracle, "cycles_without_exits"),
-        (c.p_binf, b_infinity_oracle, "b_infinity"),
-    ]
-    for fast_t, slow_fn, name in pairs:
-        slow_t = slow_fn(g)
-        if fast_t != slow_t:
-            _fail(f"{name}: fast {fast_t} != oracle {slow_t}")
-    if len(g.vertices) <= 5:
-        fast_t = properly_infinite(g)
-        slow_t = properly_infinite_subsets_oracle(g)
-        if fast_t != slow_t:
-            _fail(f"properly_infinite: fast {fast_t} != oracle {slow_t}")
-    check_pi_classes(g)
-
-
-def check_pi_classes(g: Graph) -> None:
-    """Compare pi_decomposition against cycle enumeration + union-find."""
-    c = classify(g)
-    classes = pi_decomposition(g)
-    fast_prime = sorted(
-        frozenset(cl.class_vertices) for cl in classes if cl.kind == "Pprime"
-    )
-    slow_prime = sorted(pprime_classes_oracle(g, set(c.p_prime)))
-    if fast_prime != slow_prime:
-        _fail(f"P' classes: fast {fast_prime} != oracle {slow_prime}")
+            raise InvariantViolation(f"{name}: fast {fast} != oracle {slow}", g)
 
 
 def check_graph(g: Graph) -> None:
-    check_invariants(g)
+    """The report's own certifications (the classifier sets and density),
+    maximality, and the oracles up to 6 vertices."""
+    largest_ideals_report(g)
     check_maximality(g)
     if len(g.vertices) <= 6:
         check_oracles(g)
-
-
-def _dump_reproducer(g: Graph, context: str, detail: str) -> None:
-    print(f"selftest failure ({context}): {detail}", file=sys.stderr)
-    print("--- reproducer graph ---", file=sys.stderr)
-    print(to_text(g), end="", file=sys.stderr)
-    print("--- end reproducer ---", file=sys.stderr)
 
 
 def _rate(count: int, start: float) -> str:
@@ -143,15 +110,20 @@ def _rate(count: int, start: float) -> str:
 def run_selftest(
     cases: int, max_vertices: int, seed: int, exhaustive_n4: bool
 ) -> int:
-    """Run the suites, print the verdicts to stdout and the rates to stderr."""
+    """Run the suites, print the verdicts to stdout and the rates to stderr.
+
+    The first violation is re-raised with the case and seed, or the sweep
+    index, in front of its detail.
+    """
     checked = 0
     start = time.perf_counter()
     for i, g in enumerate(random_graphs(cases, seed, max_vertices=max_vertices)):
         try:
             check_graph(g)
-        except (_Mismatch, InvariantViolation) as exc:
-            _dump_reproducer(g, f"case {i}, seed {seed}", str(exc))
-            return 3
+        except InvariantViolation as exc:
+            raise InvariantViolation(
+                f"selftest case {i}, seed {seed}: {exc.detail}", g
+            ) from exc
         checked += 1
     print(f"selftest: {checked} random graphs (max {max_vertices} vertices, "
           f"seed {seed}) passed all property checks")
@@ -167,9 +139,10 @@ def run_selftest(
                 if swept % PROGRESS_EVERY == 0:
                     print(f"  ... {swept} graphs swept ({_rate(swept, start)})",
                           file=sys.stderr)
-        except (_Mismatch, InvariantViolation) as exc:
-            _dump_reproducer(g, f"exhaustive n=4 graph {swept}", str(exc))
-            return 3
+        except InvariantViolation as exc:
+            raise InvariantViolation(
+                f"selftest exhaustive n=4 graph {swept}: {exc.detail}", g
+            ) from exc
         print(f"selftest: exhaustive 4-vertex sweep passed ({swept} graphs)")
         print(f"  ... {swept} graphs swept ({_rate(swept, start)})",
               file=sys.stderr)

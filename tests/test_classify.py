@@ -234,10 +234,10 @@ def test_classification_cached_per_graph():
 
 # (graph, classify's mask collaborator to break, its broken value, the message)
 BROKEN_CERTIFICATIONS = {
-    # the doubled loop at a is an extreme cycle that P_pi loses
+    # the doubled loop at a is an extreme cycle that P_pi, and so P_ppi, loses
     "p_ec_outside_p_pi": (
         "vertices a\nedge l a a x2\n",
-        "properly_infinite_mask", 0, "P_ec is not contained in P_pi",
+        "properly_infinite_mask", 0, "P_ec is not contained in P_ppi",
     ),
     # marking v (index 1) capable evicts it from P_ppi = {a}, though v is
     # regular and emits only into a
@@ -255,9 +255,10 @@ def test_broken_classifier_input_is_certified(case, monkeypatch, tmp_path, capsy
     # the package's classify() function shadows the submodule's name
     module = importlib.import_module("leavittpath.classify")
     monkeypatch.setattr(module, name, lambda g: value)
+    g = parse_graph(text)
     with pytest.raises(InvariantViolation, match=re.escape(message)) as ei:
-        classify(parse_graph(text))
-    assert ei.value.graph_text == text
+        classify(g)
+    assert ei.value.graph is g
 
     path = tmp_path / "broken.lpa"
     path.write_text(text)

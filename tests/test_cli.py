@@ -11,9 +11,9 @@ import sys
 import jsonschema
 import pytest
 
-from leavittpath import InvariantViolation, breaking_vertices, hs_closure
-from leavittpath import _kernel, cli
-from leavittpath.graph import to_text
+from leavittpath import InvariantViolation, breaking_vertices, build_hedgehog
+from leavittpath import _kernel, cli, hs_closure
+from leavittpath.graph import Graph, parse_graph, reproducer, to_dot, to_text
 from leavittpath.random_graphs import enumerate_graphs, random_graphs
 
 from conftest import FIXTURE_NAMES, ROOT, fixture_graph, fixture_path
@@ -196,6 +196,18 @@ def test_hedgehog_matches_golden(capsys, name):
     check_schema("hedgehog", expected)
 
 
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_classify_and_closure_match_goldens(capsys, name):
+    # closure is seeded with the fixture's last vertex
+    seed = fixture_graph(name).vertices[-1]
+    for command, argv in (("classify", ()), ("closure", ("--seed", seed))):
+        golden = ROOT / "tests" / "golden" / f"{command}_{name}.json"
+        expected = golden.read_text(encoding="utf-8")
+        out = run_cli(capsys, command, fixture_path(name), *argv)
+        assert out == (0, expected, ""), command
+        check_schema(command, expected)
+
+
 def test_report_pretty_is_same_document(capsys):
     code, compact, _ = run_cli(capsys, "report", fixture_path("fork"))
     code2, pretty, _ = run_cli(
@@ -347,14 +359,102 @@ def test_usage_error_exits_2(capsys):
 
 def test_invariant_violation_exits_3_with_reproducer(capsys, monkeypatch):
     def boom(g):
-        raise InvariantViolation("forced failure", graph_text="vertices v\n")
+        raise InvariantViolation("forced failure", parse_graph("vertices v\n"))
 
     monkeypatch.setattr(cli, "classify", boom)
     code, _, err = run_cli(capsys, "classify", fixture_path("line2"))
     assert code == 3
-    assert "invariant violation: forced failure" in err
-    assert "--- reproducer graph ---" in err
-    assert "vertices v" in err
+    assert err == (
+        "invariant violation: forced failure\n--- reproducer graph ---\n"
+        "vertices v\n--- end reproducer ---\n"
+    )
+
+
+CLASSIFY = importlib.import_module("leavittpath.classify")
+IDEALS = importlib.import_module("leavittpath.ideals")
+
+
+def _with_p_pec(mask):
+    """The classifier masks with P_pec replaced by ``mask``."""
+    return lambda g: CLASSIFY._classify_masks(g)._replace(p_pec=mask)
+
+
+# Each InvariantViolation of classify's last three checks, closure_mask and
+# pi_decomposition, forced by breaking one collaborator: (canonical graph
+# text, command, owner and name of the collaborator, its replacement, the
+# detail).  test_classify's BROKEN_CERTIFICATIONS force classify's first
+# two checks, and the hedgehog test below the density check.
+FORCED_VIOLATIONS = {
+    # a's loop has no exit, so a is in P_c; a reaching() that finds nothing
+    # puts it in P_l as well
+    "p_l_meets_p_c": (
+        "vertices a\nedge l a a\n", ["classify"], Graph, "reaching",
+        lambda self, mask: 0, "P_l, P_c and P_ec are not pairwise disjoint",
+    ),
+    # a's loop read as no cycle at all leaves P_c empty, though Condition
+    # (L) still fails on it
+    "condition_l": (
+        "vertices a\nedge l a a\n", ["classify"], CLASSIFY, "_scc_csp_classes",
+        lambda g: ("Zero",), "Condition (L) disagrees with P_c",
+    ),
+    # a's loop has an exit, so Condition (K) fails; a reaching() that finds
+    # nothing makes P_(K) every vertex
+    "condition_k": (
+        "vertices a b\nedge e a b\nedge l a a\n", ["classify"], Graph,
+        "reaching", lambda self, mask: 0, "Condition (K) disagrees with P_(K)",
+    ),
+    # v and w emit only into s, and a fixpoint that never saturates leaves
+    # them out
+    "closure_unsaturated": (
+        "vertices s v w\nedge e v s\nedge f w s\n", ["closure", "--seed", "s"],
+        _kernel, "saturation_fixpoint", lambda mask, regular: (mask, 0),
+        "closure of ['s'] is not hereditary+saturated: ('s',)",
+    ),
+    # a sink in P_pec lies on no terminal cycle
+    "p_pec_uncovered": (
+        "vertices a\n", ["report"], IDEALS, "_classify_masks", _with_p_pec(0b1),
+        "P_pec is not covered by its terminal cycle classes",
+    ),
+    # b's doubled loop is a simple class of its own once in P_pec, but a's
+    # P' class holds it in its tree
+    "class_trees_overlap": (
+        "vertices a b\nedge e a b\nedge k a a x2\nedge l b b x2\n", ["report"],
+        IDEALS, "_classify_masks", _with_p_pec(0b10),
+        "cycle-class trees overlap at 'b'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORCED_VIOLATIONS))
+def test_every_invariant_violation_reaches_the_cli(
+    case, capsys, monkeypatch, tmp_path
+):
+    text, argv, owner, name, replacement, detail = FORCED_VIOLATIONS[case]
+    path = tmp_path / "g.lpa"
+    path.write_text(text)
+    monkeypatch.setattr(owner, name, replacement)
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (3, "")
+    assert err == (
+        f"invariant violation: {detail}\n"
+        f"--- reproducer graph ---\n{text}--- end reproducer ---\n"
+    )
+
+
+def test_a_violation_on_a_hedgehog_prints_its_dot(capsys, monkeypatch):
+    # the path vertices of chain3's hedgehog of {v3} have no text form
+    base = build_hedgehog(fixture_graph("chain3"), ("v3",), (), 2).base
+    assert base.vertices[0] == "p:b1.f2"
+    monkeypatch.setattr(cli, "_read_graph", lambda path: base)
+    monkeypatch.setattr(IDEALS, "density_witnesses", lambda g, X: [None])
+    code, out, err = run_cli(capsys, "report", "chain3-hedgehog.lpa")
+    assert (code, out) == (3, "")
+    assert err == (
+        "invariant violation: four-set union failed the density check\n"
+        "--- reproducer graph ---\n"
+        "# vertex id 'p:b1.f2' is not representable in the text format\n"
+        f"{to_dot(base)}--- end reproducer ---\n"
+    )
 
 
 def test_selftest_smoke(capsys):
@@ -395,10 +495,7 @@ def test_selftest_exhaustive_n4_sweeps_enumerated_graphs(capsys, monkeypatch):
 
 
 def _reproducer(context, g):
-    return (
-        f"selftest failure ({context}): planted\n--- reproducer graph ---\n"
-        f"{to_text(g)}--- end reproducer ---\n"
-    )
+    return f"invariant violation: selftest {context}: planted\n{reproducer(g)}"
 
 
 def test_selftest_failure_prints_the_reproducer_and_exits_3(
@@ -411,7 +508,7 @@ def test_selftest_failure_prints_the_reproducer_and_exits_3(
     def fail_on_case_4(g):
         seen.append(g)
         if len(seen) == 5:
-            raise selftest._Mismatch("planted")
+            raise InvariantViolation("planted", g)
 
     monkeypatch.setattr(selftest, "check_graph", fail_on_case_4)
     code, out, err = run_cli(
@@ -432,7 +529,7 @@ def test_selftest_sweep_failure_names_the_graph_and_exits_3(
 
     def fail_on_graph_17(g):
         if g is graphs[17]:
-            raise selftest._Mismatch("planted")
+            raise InvariantViolation("planted", g)
 
     monkeypatch.setattr(selftest, "enumerate_graphs", lambda n, max_mult: graphs)
     monkeypatch.setattr(selftest, "check_graph", lambda g: None)

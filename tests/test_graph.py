@@ -305,6 +305,10 @@ def test_instance_addressing():
         parse_instance(g, "e[3]")
     with pytest.raises(GraphValidationError):
         parse_instance(g, "m[1]")  # omega members are not addressable
+    with pytest.raises(GraphValidationError, match="malformed edge instance"):
+        parse_instance(g, "e[x]")
+    with pytest.raises(GraphValidationError, match="omega bundle 'm' are not"):
+        g.bundle("m").instances
 
 
 # (text, line, column, message) for every error the parser raises; the

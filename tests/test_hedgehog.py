@@ -4,6 +4,8 @@ import random
 import pytest
 
 from leavittpath import (
+    EdgeBundle,
+    Graph,
     GraphValidationError,
     breaking_vertices,
     build_hedgehog,
@@ -143,6 +145,23 @@ def test_hedgehog_validation():
         build_hedgehog(g, ("v3",), ("v1",))  # v1 is not a breaking vertex
     with pytest.raises(GraphValidationError):
         build_hedgehog(g, ("v3",), (), depth_limit=0)
+
+
+def test_two_f_paths_sharing_a_name_are_refused():
+    # the one-edge path x.y and the two-edge path x then y are both p:x.y
+    g = Graph(["a", "b", "c"], [
+        EdgeBundle("x.y", "a", "c"), EdgeBundle("x", "a", "b"),
+        EdgeBundle("y", "b", "c"), EdgeBundle("l", "c", "c", 2),
+    ])
+    with pytest.raises(GraphValidationError, match=r"share the name 'p:x\.y'"):
+        build_hedgehog(g, ("c",), ())
+
+
+def test_a_path_vertex_named_as_a_vertex_of_h_is_refused():
+    # the path e would be the vertex p:e, which H already holds
+    g = Graph(["p:e", "a"], [EdgeBundle("e", "a", "p:e")])
+    with pytest.raises(GraphValidationError, match="share the name 'p:e'"):
+        build_hedgehog(g, ("p:e",), ())
 
 
 def test_hedgehog_dot_export_quotes_path_vertices():

@@ -319,3 +319,38 @@ def test_saturation_matches_definitions_with_omega():
             assert saturate_once(g, X) == _saturate_once_by_definition(g, X), (
                 to_text(g)
             )
+
+
+def _summand_graphs():
+    """The ω sweep, plus random graphs: no ω code has two P′ classes."""
+    for n, code in omega_sweep_codes():
+        yield _graph_from_code(n, code)
+    yield from random_graphs(1500, 7, max_vertices=6)
+
+
+def test_summands_are_a_direct_sum_of_indecomposables():
+    # K_i is the closure of class i's vertices.  The K_i are disjoint and
+    # close up to the closure of P_ppi, so their ideals sum directly to the
+    # largest purely infinite ideal; no P′ K_i is the union of two disjoint
+    # non-empty hereditary saturated sets, so its ideal is indecomposable.
+    # P_ppi lies in P_(K), so every ideal inside it is graded, and holds no
+    # breaking-capable vertex, so each of those is I(H) for an H above.
+    for g in _summand_graphs():
+        ppi = set(p_ppi_oracle(g))
+        assert ppi <= set(p_K_oracle(g)), to_text(g)
+        assert not ppi & set(breaking_capable_oracle(g)), to_text(g)
+        classes = pi_decomposition(g)
+        if not classes:
+            continue
+        ks = [hs_closure_oracle(g, cl.class_vertices) for cl in classes]
+        for a, b in itertools.combinations(ks, 2):
+            assert not a & b, to_text(g)
+        assert hs_closure_oracle(g, set().union(*ks)) == hs_closure_oracle(
+            g, ppi
+        ), to_text(g)
+        hs_sets = set(hereditary_saturated_sets(g))
+        for cl, k in zip(classes, ks):
+            if cl.kind == "Pprime":
+                assert not any(
+                    h and h < k and k - h in hs_sets for h in hs_sets
+                ), to_text(g)

@@ -1,11 +1,13 @@
 """The maximality probe of ``lpa selftest``: one certified closure per
 distinct P_ppi ∪ T(v), the same verdicts and messages as one per vertex."""
 
+import pickle
+
 import pytest
 
-from leavittpath import _kernel, classify, parse_graph, selftest, to_text
+from leavittpath import _kernel, classify, parse_graph, selftest
 from leavittpath.errors import InvariantViolation
-from leavittpath.selftest import _Mismatch, check_maximality
+from leavittpath.selftest import check_maximality
 
 
 def _count_closures(monkeypatch):
@@ -42,8 +44,10 @@ def test_failing_vertices_sharing_a_closure_name_the_smaller(monkeypatch):
     smaller = selftest._classify_masks(g)._replace(p_ppi=g.mask_of(("x",)))
     monkeypatch.setattr(selftest, "_classify_masks", lambda g: smaller)
     seeds = _count_closures(monkeypatch)
-    with pytest.raises(_Mismatch, match="closure of P_ppi plus 'a' is still"):
+    message = "closure of P_ppi plus 'a' is still"
+    with pytest.raises(InvariantViolation, match=message) as err:
         check_maximality(g)
+    assert err.value.graph is g
     assert seeds == [0b101]
 
 
@@ -60,4 +64,15 @@ def test_uncertified_closure_raises_with_the_reproducer(monkeypatch):
     assert err.value.detail == (
         "closure of ['s'] is not hereditary+saturated: ('s',)"
     )
-    assert err.value.graph_text == to_text(g)
+    assert err.value.graph is g
+    copy = pickle.loads(pickle.dumps(err.value))
+    assert (copy.detail, copy.graph) == (err.value.detail, g)
+
+
+def test_an_oracle_disagreement_names_the_check(monkeypatch):
+    g = parse_graph("vertices a\nedge l a a x2\n")
+    monkeypatch.setattr(selftest, "b_infinity_oracle", lambda g: ("a",))
+    with pytest.raises(InvariantViolation) as err:
+        selftest.check_oracles(g)
+    assert err.value.detail == "b_infinity: fast () != oracle ('a',)"
+    assert err.value.graph is g

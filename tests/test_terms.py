@@ -211,6 +211,11 @@ def test_elements_of_different_graphs_do_not_mix():
     b = V(fixture_graph("line3"), "v1")
     with pytest.raises(GraphValidationError):
         _ = a + b
+    with pytest.raises(GraphValidationError, match="different graphs"):
+        _ = a * b
+    # two equal graph objects are one graph
+    c = V(fixture_graph("line2"), "v1")
+    assert a * c == a
 
 
 def test_element_hash_never_hashes_the_graph(monkeypatch):
