@@ -6,8 +6,6 @@ any size work here).  No kernel recurses, so no stack depth grows with the
 input.
 """
 
-from __future__ import annotations
-
 
 def reach_masks(values: list[int], dag, order) -> list[int]:
     """Per component of a condensation DAG, the OR of ``values`` over every

@@ -13,14 +13,10 @@ SCC of the graph's cached condensation, in O(n + m).  P_c and P_ec are the
 terminal SCCs of class One and TwoPlus.
 """
 
-from __future__ import annotations
-
-from collections import namedtuple
-
 from . import _kernel
 from .closures import breaking_capable_mask, breaking_counts, hs_closure
 from .errors import InvariantViolation
-from .graph import INFINITE_EMITTER, SINK, Graph, condense, per_graph
+from .graph import INFINITE_EMITTER, SINK, Graph, _record, condense, per_graph
 
 CSP_ZERO = "Zero"
 CSP_ONE = "One"
@@ -99,7 +95,7 @@ def properly_infinite(g: Graph) -> tuple[str, ...]:
 
 
 class Classification(
-    namedtuple(
+    _record(
         "Classification",
         "p_l p_c p_ec p_binf p_pi p_ppi p_ec_prime p_pec p_prime p_K p_ex"
         " condition_K condition_L exchange_breaking",

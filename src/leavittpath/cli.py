@@ -13,10 +13,7 @@ A reader that closes stdout early (``lpa report g.lpa | head -c 10``)
 ends the command quietly with exit 0: what it read is all it wanted.
 """
 
-from __future__ import annotations
-
 import sys
-import types
 
 from .classify import classify
 from .closures import breaking_vertices, hs_closure
@@ -25,6 +22,9 @@ from .graph import INFINITE_EMITTER, REGULAR, SINK, Graph, graph_digest, mult_to
 from .graph import parse_graph, reproducer, to_dot
 
 SCHEMA_VERSION = "1"
+
+# types.SimpleNamespace, which types.py takes from sys.implementation too
+_Namespace = type(sys.implementation)
 
 
 class _UnreadableFile(LpaError):
@@ -383,12 +383,10 @@ def _read_plain(argv):
             or len(given.intersection(exclusive)) > 1):
         return None
     values.update(zip(names, positionals))
-    return types.SimpleNamespace(
-        command=argv[0], func=globals()["cmd_" + argv[0]], **values
-    )
+    return _Namespace(command=argv[0], func=globals()["cmd_" + argv[0]], **values)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> "argparse.ArgumentParser":
     """argparse's reading of ``_COMMANDS``: it prints help and usage errors,
     and reads every command line that ``_read_plain`` declines."""
     import argparse

@@ -10,13 +10,9 @@ the density criterion.  Conventions:
 * closure: tree step first, then saturation passes to a fixpoint.
 """
 
-from __future__ import annotations
-
-from collections import namedtuple
-
 from . import _kernel
 from .errors import GraphValidationError, InvariantViolation
-from .graph import INFINITE_EMITTER, OMEGA, REGULAR, Graph, per_graph
+from .graph import INFINITE_EMITTER, OMEGA, REGULAR, Graph, _record, per_graph
 
 
 @per_graph
@@ -196,7 +192,7 @@ def breaking_capable(g: Graph) -> tuple[str, ...]:
     return g.set_of(breaking_capable_mask(g))
 
 
-class DensityResult(namedtuple("DensityResult", "dense witnesses")):
+class DensityResult(_record("DensityResult", "dense witnesses")):
     """Verdict of the density criterion plus per-vertex witnesses.
 
     ``witnesses[v]`` is a (possibly empty) tuple of bundle ids tracing a path

@@ -2,8 +2,6 @@
 the program is wrong (``lpa`` exits 3), any other ``LpaError`` when its
 input is (``lpa`` exits 2)."""
 
-from __future__ import annotations
-
 
 class LpaError(Exception):
     """Base class for all library errors."""

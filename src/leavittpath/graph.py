@@ -9,26 +9,32 @@ Individual edges of a finite bundle are addressable as ``id`` (multiplicity
 Everything here is immutable after construction and safe to share.
 """
 
-from __future__ import annotations
-
-import functools
 import gc
-from collections import namedtuple
+import sys
+from _operator import attrgetter
 from itertools import compress
-from operator import attrgetter
 
 from . import _kernel
 from .errors import GraphSyntaxError, GraphValidationError
 
 # hashlib loads OpenSSL, which costs a fresh `lpa` more than the one digest it
-# computes; CPython's random.py takes sha512 from the built-in module alike
+# computes; CPython's random.py takes sha512 from the built-in module alike.
+# Asking by version spares every start a failed import.
 try:
-    from _sha2 import sha256  # Python 3.12+
-except ImportError:
-    try:
+    if sys.version_info >= (3, 12):
+        from _sha2 import sha256
+    else:
         from _sha256 import sha256
-    except ImportError:
-        from hashlib import sha256
+except ImportError:
+    from hashlib import sha256
+
+try:
+    from _collections import _tuplegetter
+except ImportError:  # namedtuple's own fallback
+    from operator import itemgetter
+
+    def _tuplegetter(index, doc):
+        return property(itemgetter(index), doc=doc)
 
 
 class _Omega:
@@ -70,7 +76,71 @@ def mult_to_json(mult) -> object:
     return "omega" if mult is OMEGA else mult
 
 
-class EdgeBundle(namedtuple("EdgeBundle", "id source target mult", defaults=(1,))):
+def _record(typename: str, field_names: str, defaults=()) -> type:
+    """The tuple class ``collections.namedtuple(typename, field_names,
+    defaults=defaults)`` builds, without loading ``collections``.
+
+    The value classes subclass it with ``__slots__ = ()``.  It has
+    namedtuple's interface (``_fields``, ``_field_defaults``, ``_make``,
+    ``_replace``, ``_asdict``, repr, pickling, tuple equality, hash and
+    order), and its ``__new__`` and field getters are made as namedtuple
+    makes them, so a record costs what a namedtuple costs to build and read.
+    """
+    fields = tuple(field_names.split())
+    n = len(fields)
+    args = ", ".join(fields)
+    tuple_new = tuple.__new__
+    scope = {"_tuple_new": tuple_new, "__builtins__": {}}
+    new = eval(f"lambda _cls, {args}: _tuple_new(_cls, ({args},))", scope)
+    new.__name__ = "__new__"
+    new.__defaults__ = tuple(defaults) or None
+    repr_fmt = "(" + ", ".join(f"{name}=%r" for name in fields) + ")"
+    # Python 3.13 changed the error of an unknown field and added copy.replace
+    unexpected = TypeError if sys.version_info >= (3, 13) else ValueError
+
+    def _make(cls, iterable):
+        result = tuple_new(cls, iterable)
+        if len(result) != n:
+            raise TypeError(f"Expected {n} arguments, got {len(result)}")
+        return result
+
+    def _replace(self, /, **kwds):
+        result = self._make(map(kwds.pop, fields, self))
+        if kwds:
+            raise unexpected(f"Got unexpected field names: {list(kwds)!r}")
+        return result
+
+    def __repr__(self):
+        return self.__class__.__name__ + repr_fmt % self
+
+    def _asdict(self):
+        return dict(zip(self._fields, self))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    for method in new, _make, _replace, __repr__, _asdict, __getnewargs__:
+        method.__qualname__ = f"{typename}.{method.__name__}"
+    namespace = {
+        "__slots__": (),
+        "_fields": fields,
+        "_field_defaults": dict(zip(fields[n - len(defaults):], defaults)),
+        "__new__": new,
+        "_make": classmethod(_make),
+        "_replace": _replace,
+        "__repr__": __repr__,
+        "_asdict": _asdict,
+        "__getnewargs__": __getnewargs__,
+        "__match_args__": fields,
+    }
+    if sys.version_info >= (3, 13):
+        namespace["__replace__"] = _replace
+    for index, name in enumerate(fields):
+        namespace[name] = _tuplegetter(index, f"Alias for field number {index}")
+    return type(typename, (tuple,), namespace)
+
+
+class EdgeBundle(_record("EdgeBundle", "id source target mult", defaults=(1,))):
     """A bundle of parallel edges source -> target with a multiplicity."""
 
     __slots__ = ()
@@ -109,13 +179,18 @@ def per_graph(fn):
 
     key = f"{fn.__module__}.{fn.__qualname__}"
 
-    @functools.wraps(fn)
     def memoized(g):
         memo = g._memo
         if key not in memo:
             memo[key] = fn(g)
         return memo[key]
 
+    # functools.wraps's copy; a plain command never imports functools
+    for attr in ("__module__", "__name__", "__qualname__", "__doc__",
+                 "__annotations__"):
+        setattr(memoized, attr, getattr(fn, attr))
+    memoized.__dict__.update(fn.__dict__)
+    memoized.__wrapped__ = fn
     return memoized
 
 
@@ -149,6 +224,25 @@ def _raise_invalid(vertices, bundles):
             )
 
 
+class _PausedGC:
+    """Pause the cyclic garbage collector for a ``with`` block.
+
+    Building a graph allocates tuples and lists by the thousand and leaves
+    no cycle behind, so the collector would only rescan the growing graph.
+    An inner pause finds the collector off and leaves it to the outer one.
+    """
+
+    __slots__ = ("resume",)
+
+    def __enter__(self):
+        self.resume = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc):
+        if self.resume:
+            gc.enable()
+
+
 class Graph:
     """Immutable directed graph with multiplicity-carrying edge bundles.
 
@@ -159,49 +253,53 @@ class Graph:
     """
 
     def __init__(self, vertices, bundles=()):
-        vs = list(vertices)
-        bs = list(bundles)
-        self._vertices = verts = tuple(sorted(vs))
-        self._bundles = tuple(sorted(bs, key=_bundle_id))
-        self._index = index = dict(zip(verts, range(len(verts))))
-        self._by_id = by_id = dict(zip(map(_bundle_id, self._bundles), self._bundles))
-        self._full = (1 << len(verts)) - 1
-        out: list[list[EdgeBundle]] = [[] for _ in verts]
-        succ: list[list[int]] = [[] for _ in verts]
-        omega_sources: list[int] = []
-        # the two id tables hold each id once, so a repeat shrinks or joins
-        # them; then one pass over the bundles, each unpacked once, fills the
-        # per-index tables, where a dangling endpoint fails its lookup and a
-        # bad multiplicity its test.  The ordered finder names the first fault.
-        try:
-            if len(index) + len(by_id) != len(vs) + len(bs) or index.keys() & by_id:
-                raise ValueError
-            for b in self._bundles:
-                _, source, target, mult = b
-                s = index[source]
-                if mult is OMEGA:
-                    omega_sources.append(s)
-                elif not isinstance(mult, int) or mult < 1 or mult is True:
+        with _PausedGC():
+            vs = list(vertices)
+            bs = list(bundles)
+            self._vertices = verts = tuple(sorted(vs))
+            self._bundles = tuple(sorted(bs, key=_bundle_id))
+            self._index = index = dict(zip(verts, range(len(verts))))
+            self._by_id = by_id = dict(
+                zip(map(_bundle_id, self._bundles), self._bundles)
+            )
+            self._full = (1 << len(verts)) - 1
+            out: list[list[EdgeBundle]] = [[] for _ in verts]
+            succ: list[list[int]] = [[] for _ in verts]
+            omega_sources: list[int] = []
+            # the two id tables hold each id once, so a repeat shrinks or joins
+            # them; then one pass over the bundles, each unpacked once, fills the
+            # per-index tables, where a dangling endpoint fails its lookup and a
+            # bad multiplicity its test.  The ordered finder names the first fault.
+            try:
+                if len(index) + len(by_id) != len(vs) + len(bs) or index.keys() & by_id:
                     raise ValueError
-                out[s].append(b)
-                succ[s].append(index[target])
-        except (KeyError, ValueError):
-            _raise_invalid(vs, bs)
-        self._out = tuple(map(tuple, out))
-        self._succ = tuple(map(tuple, succ))
-        mask = _kernel.members_mask
-        sinks = mask([i for i, lst in enumerate(out) if not lst])
-        emitters = mask(omega_sources)
-        self._kind_masks = {
-            SINK: sinks,
-            REGULAR: self._full & ~sinks & ~emitters,
-            INFINITE_EMITTER: emitters,
-        }
-        # ω, two bundles, or one bundle of multiplicity k >= 2
-        self._bifurcations = mask(
-            [i for i, lst in enumerate(out) if len(lst) > 1 or lst and lst[0].mult != 1]
-        )
-        self._memo: dict = {}
+                for b in self._bundles:
+                    _, source, target, mult = b
+                    s = index[source]
+                    if mult is OMEGA:
+                        omega_sources.append(s)
+                    elif not isinstance(mult, int) or mult < 1 or mult is True:
+                        raise ValueError
+                    out[s].append(b)
+                    succ[s].append(index[target])
+            except (KeyError, ValueError):
+                _raise_invalid(vs, bs)
+            self._out = tuple(map(tuple, out))
+            self._succ = tuple(map(tuple, succ))
+            mask = _kernel.members_mask
+            sinks = mask([i for i, lst in enumerate(out) if not lst])
+            emitters = mask(omega_sources)
+            self._kind_masks = {
+                SINK: sinks,
+                REGULAR: self._full & ~sinks & ~emitters,
+                INFINITE_EMITTER: emitters,
+            }
+            # ω, two bundles, or one bundle of multiplicity k >= 2
+            self._bifurcations = mask([
+                i for i, lst in enumerate(out)
+                if len(lst) > 1 or lst and lst[0].mult != 1
+            ])
+            self._memo: dict = {}
 
     # -- basic accessors ---------------------------------------------------
 
@@ -344,7 +442,7 @@ def _target_table(g: Graph) -> tuple[tuple[str, ...], ...]:
     return tuple(tuple(map(name, sorted(set(ts)))) for ts in g.successors)
 
 
-class Condensation(namedtuple("Condensation", "scc_of masks dag internal order")):
+class Condensation(_record("Condensation", "scc_of masks dag internal order")):
     """SCC partition of a graph plus its component DAG.
 
     Component ids are assigned by smallest member vertex (sorted order),
@@ -421,11 +519,7 @@ def parse_graph(text: str) -> Graph:
     its first fault with the line and column.
     """
     lines = text.splitlines()
-    # the build allocates a tuple per bundle and leaves no cycle behind, so
-    # the cyclic collector would only rescan the growing graph
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with _PausedGC():
         vertices: list[str] = []
         bundles: list[EdgeBundle] = []
         make = tuple.__new__  # skips EdgeBundle's Python-level __new__
@@ -468,9 +562,6 @@ def parse_graph(text: str) -> Graph:
             except GraphValidationError:  # a repeated id or an undeclared endpoint
                 pass
         _raise_first_error(lines)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
 
 
 def _raise_first_error(lines: list[str]):
@@ -614,24 +705,23 @@ def parse_instance(g: Graph, token: str) -> tuple[EdgeBundle, int]:
     b = g._by_id.get(token)
     if b is not None and b.mult == 1:
         return b, 1
-    import re  # only the term engine reads instances; re caches the pattern
-
-    m = re.match(r"(?P<id>[^\[\]]+)(?:\[(?P<idx>[0-9]+)\])?\Z", token)
-    if not m:
+    eid, bracket, idx = token.partition("[")  # "<id>" or "<id>[<digits>]"
+    if bracket:
+        idx = idx[:-1] if idx.endswith("]") else ""
+    if not eid or "]" in eid or bracket and not (idx.isdigit() and idx.isascii()):
         raise GraphValidationError(f"malformed edge instance '{token}'")
-    eid = m.group("id")
     b = g.bundle(eid)
     if b.mult is OMEGA:
         raise GraphValidationError(
             f"'{token}' refers to omega bundle '{eid}'; its members are not addressable"
         )
-    if m.group("idx") is None:  # "e" of multiplicity 1 was read above
+    if not bracket:  # "e" of multiplicity 1 was read above
         raise GraphValidationError(
             f"bundle '{eid}' has multiplicity {b.mult}; "
             f"use '{eid}[i]' with 1 <= i <= {b.mult}"
         )
     try:
-        idx = int(m.group("idx"))
+        idx = int(idx)
     except ValueError:  # past int()'s digit limit
         raise GraphValidationError(
             f"instance index of '{eid}' has too many digits"

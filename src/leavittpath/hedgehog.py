@@ -21,13 +21,9 @@ Each F-set is listed shortest first, by the walk that counts it, and
 sorted by name.
 """
 
-from __future__ import annotations
-
-from collections import namedtuple
-
 from .closures import breaking_vertices
 from .errors import GraphValidationError
-from .graph import OMEGA, EdgeBundle, Graph, condense
+from .graph import OMEGA, EdgeBundle, Graph, _record, condense
 
 
 # The F-paths are listed one by one; a hedgehog whose paths hold more edges
@@ -36,7 +32,7 @@ MAX_PATH_EDGES = 1_000_000
 
 
 class HedgehogGraph(
-    namedtuple(
+    _record(
         "HedgehogGraph", "base H S finite truncated_at path_vertex_table"
     )
 ):

@@ -9,18 +9,14 @@ density certificate for the four-set union, and the decomposition of the
 purely infinite part into simple and non-simple-indecomposable classes.
 """
 
-from __future__ import annotations
-
-from collections import namedtuple
-
 from . import _kernel
 from .classify import _classify_masks, classify
 from .closures import breaking_vertices, density_witnesses, hs_closure
 from .errors import GraphValidationError, InvariantViolation
-from .graph import Graph, condense, per_graph
+from .graph import Graph, _record, condense, per_graph
 
 
-class GradedIdealDescriptor(namedtuple("GradedIdealDescriptor", "graph H S")):
+class GradedIdealDescriptor(_record("GradedIdealDescriptor", "graph H S")):
     __slots__ = ()
 
 
@@ -54,7 +50,7 @@ PPRIME_LABEL = "PurelyInfiniteNonSimpleIndecomposable"
 
 
 class CycleClass(
-    namedtuple("CycleClass", "kind member_sccs class_vertices tree label")
+    _record("CycleClass", "kind member_sccs class_vertices tree label")
 ):
     """One summand of the purely infinite part; ``kind`` is "Pec" or "Pprime"."""
 
@@ -124,7 +120,7 @@ def pi_decomposition(g: Graph) -> tuple[CycleClass, ...]:
 
 
 class LargestIdealsReport(
-    namedtuple(
+    _record(
         "LargestIdealsReport",
         "semisimple_gens loc_noetherian_gens loc_noetherian_no_min_idem_gens"
         " purely_infinite_gens exchange_gens dense_gens dense dense_witnesses"

@@ -8,8 +8,6 @@ per-graph answers every check reads (reach sets, simple cycles, CSP walk
 verdicts) are computed once in the graph's memo and returned read-only.
 """
 
-from __future__ import annotations
-
 from .graph import OMEGA, Graph, per_graph
 
 

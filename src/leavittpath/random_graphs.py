@@ -1,7 +1,5 @@
 """Seeded graph generators backing the property suites and `lpa selftest`."""
 
-from __future__ import annotations
-
 import random
 
 from .graph import OMEGA, EdgeBundle, Graph

@@ -8,8 +8,6 @@ it with the case and seed in front of the detail, and ``lpa`` prints it
 with the reproducer graph and exits with status 3.
 """
 
-from __future__ import annotations
-
 import sys
 import time
 

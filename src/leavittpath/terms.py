@@ -21,15 +21,11 @@ non-special pair) and yields the canonical spanning basis.  Coefficients
 are exact: ints, and Fractions only where a denominator is left.
 """
 
-from __future__ import annotations
-
-import re
 import sys
-from collections import namedtuple
 
 from .closures import breaking_vertices
 from .errors import ExpressionError, GraphValidationError
-from .graph import OMEGA, Graph, instance_id, parse_instance, per_graph
+from .graph import OMEGA, Graph, _record, instance_id, parse_instance, per_graph
 
 
 def _exact(k):
@@ -58,7 +54,7 @@ def _settled(acc: dict) -> dict:
     return {m: c if type(c) is int else _exact(c) for m, c in acc.items() if c}
 
 
-class Monomial(namedtuple("Monomial", "real ghost anchor")):
+class Monomial(_record("Monomial", "real ghost anchor")):
     """α β* with r(α) = r(β) = anchor; both paths stored unstarred."""
 
     __slots__ = ()
@@ -363,32 +359,54 @@ def element_payload(a: AlgebraElement) -> list:
 
 # -- expression parsing ------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>[0-9]+(?:/[0-9]+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:\[[0-9]+\])?)"
-    r"|(?P<sym>[()*+-]))"
-)
+_DIGITS = frozenset("0123456789")
+_ID_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_ID_REST = _ID_START | _DIGITS
+
+
+def _skip(text: str, pos: int, chars) -> int:
+    """The first position from ``pos`` on whose character is not in ``chars``."""
+    n = len(text)
+    while pos < n and text[pos] in chars:
+        pos += 1
+    return pos
 
 
 def _tokenize(text: str):
+    """(kind, text, column) per token, then an ``end`` token.
+
+    A number is ``[0-9]+(/[0-9]+)?``, an ident ``[A-Za-z_][A-Za-z0-9_]*``
+    with an optional ``[<digits>]``, a sym one of ``()*+-``, each taken as
+    long as it goes; whitespace (``str.isspace``) separates them.
+    """
     tokens = []
+    n = len(text)
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            col = len(text) - len(stripped) + 1
-            raise ExpressionError(f"unexpected character '{stripped[0]}'", col)
-        pos = m.end()
-        if m.group("number"):
-            tokens.append(("number", m.group("number"), m.start("number") + 1))
-        elif m.group("ident"):
-            tokens.append(("ident", m.group("ident"), m.start("ident") + 1))
+    while True:
+        while pos < n and text[pos].isspace():
+            pos += 1
+        if pos == n:
+            break
+        start, ch = pos, text[pos]
+        if ch in _DIGITS:
+            kind = "number"
+            pos = _skip(text, pos, _DIGITS)
+            if text.startswith("/", pos) and pos + 1 < n and text[pos + 1] in _DIGITS:
+                pos = _skip(text, pos + 1, _DIGITS)
+        elif ch in _ID_START:
+            kind = "ident"
+            pos = _skip(text, pos, _ID_REST)
+            if text.startswith("[", pos):
+                end = _skip(text, pos + 1, _DIGITS)
+                if end > pos + 1 and text.startswith("]", end):
+                    pos = end + 1
+        elif ch in "()*+-":
+            kind = "sym"
+            pos += 1
         else:
-            tokens.append(("sym", m.group("sym"), m.start("sym") + 1))
-    tokens.append(("end", "", len(text) + 1))
+            raise ExpressionError(f"unexpected character '{ch}'", start + 1)
+        tokens.append((kind, text[start:pos], start + 1))
+    tokens.append(("end", "", n + 1))
     return tokens
 
 

@@ -208,6 +208,17 @@ def test_classify_and_closure_match_goldens(capsys, name):
         check_schema(command, expected)
 
 
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_validate_and_dot_match_goldens(capsys, name):
+    for command, suffix in (("validate", "json"), ("dot", "dot")):
+        golden = ROOT / "tests" / "golden" / f"{command}_{name}.{suffix}"
+        expected = golden.read_text(encoding="utf-8")
+        out = run_cli(capsys, command, fixture_path(name))
+        assert out == (0, expected, ""), command
+        if command == "validate":
+            check_schema(command, expected)
+
+
 def test_report_pretty_is_same_document(capsys):
     code, compact, _ = run_cli(capsys, "report", fixture_path("fork"))
     code2, pretty, _ = run_cli(

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -311,6 +312,65 @@ def test_instance_addressing():
         g.bundle("m").instances
 
 
+def _regex_parse_instance(g, token):
+    """``parse_instance`` as it was written with a regex: the reference the
+    scanner is held against."""
+    b = g._by_id.get(token)
+    if b is not None and b.mult == 1:
+        return b, 1
+    m = re.match(r"(?P<id>[^\[\]]+)(?:\[(?P<idx>[0-9]+)\])?\Z", token)
+    if not m:
+        raise GraphValidationError(f"malformed edge instance '{token}'")
+    eid = m.group("id")
+    b = g.bundle(eid)
+    if b.mult is OMEGA:
+        raise GraphValidationError(
+            f"'{token}' refers to omega bundle '{eid}'; its members are not addressable"
+        )
+    if m.group("idx") is None:
+        raise GraphValidationError(
+            f"bundle '{eid}' has multiplicity {b.mult}; "
+            f"use '{eid}[i]' with 1 <= i <= {b.mult}"
+        )
+    try:
+        idx = int(m.group("idx"))
+    except ValueError:
+        raise GraphValidationError(
+            f"instance index of '{eid}' has too many digits"
+        ) from None
+    if not 1 <= idx <= b.mult:
+        raise GraphValidationError(
+            f"instance index {idx} out of range for bundle '{eid}' (x{b.mult})"
+        )
+    return b, idx
+
+
+def _instance_or_error(parse, g, token):
+    try:
+        return parse(g, token)
+    except GraphValidationError as exc:
+        return str(exc)
+
+
+def test_parse_instance_matches_the_regex_reader():
+    g = Graph(("v",), [
+        EdgeBundle("e", "v", "v", 3), EdgeBundle("f", "v", "v"),
+        EdgeBundle("w", "v", "v", OMEGA), EdgeBundle("e1", "v", "v", 12),
+        EdgeBundle("b:e[1]", "v", "v"),  # a hedgehog's bar edge
+    ])
+    alphabet = "efw1b:[]0239" "\u00b2\u0663\uff11" " \n\t"
+    rng = random.Random(1905)
+    tokens = ["", "[", "]", "e[]", "e[0]", "e[01]", "e[3]]", "[1]", "e]",
+              "b:e[1]", "b:e[2]", "e[" + "9" * 5000 + "]", "e1[12]", "e1[13]"]
+    for _ in range(20000):
+        n = rng.randrange(1, 8)
+        tokens.append("".join(rng.choice(alphabet) for _ in range(n)))
+    for token in tokens:
+        assert _instance_or_error(parse_instance, g, token) == (
+            _instance_or_error(_regex_parse_instance, g, token)
+        ), repr(token)
+
+
 # (text, line, column, message) for every error the parser raises; the
 # two-fault lines pin which check runs first.
 PARSE_ERRORS = [
@@ -385,6 +445,28 @@ def test_parse_error_positions(text, line, column, message):
     assert (ei.value.line, ei.value.column, ei.value.reason) == (
         line, column, message,
     )
+
+
+@pytest.mark.parametrize("vertices", [("a", "b"), ("a",)])  # built, or refused
+@pytest.mark.parametrize("enabled", [True, False])
+def test_graph_builds_with_the_collector_paused(vertices, enabled):
+    seen = []
+
+    def bundles():
+        seen.append(gc.isenabled())
+        yield EdgeBundle("e", "a", "b")
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            Graph(vertices, bundles())
+        except GraphValidationError:
+            assert vertices == ("a",)
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 @pytest.mark.parametrize("text,error", [

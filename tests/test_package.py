@@ -2,11 +2,15 @@
 value classes' semantics and the README's library example."""
 
 import ast
+import collections
+import copy
 import importlib
+import importlib.machinery
 import inspect
 import json
 import os
 import pickle
+import random
 import re
 import subprocess
 import sys
@@ -35,32 +39,6 @@ from conftest import FIXTURE_NAMES, ROOT, fixture_graph
 
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(leavittpath.__file__))
 
-# modules that only `eval`, `hedgehog`, `report` and `selftest` need, and what pulls in
-# slow standard-library imports at start-up
-NOT_LOADED_BY_CLI = (
-    "dataclasses",
-    "typing",
-    "inspect",
-    "fractions",
-    "leavittpath.terms",
-    "leavittpath.hedgehog",
-    "leavittpath.ideals",
-    "leavittpath.selftest",
-    "leavittpath.oracles",
-    "leavittpath.random_graphs",
-    "shutil",  # argparse's default help width
-    "hashlib",  # loads OpenSSL; the digest takes the built-in sha256
-    "_hashlib",
-    "argparse",  # only help and usage errors build the parser
-    "gettext",
-    "locale",
-    "json",  # the compact JSON is written by _json's encoder; json loads re
-    "re",  # only the term engine reads edge instances and expressions
-    "enum",  # loaded by re
-    "math",  # condense counts an ω-bundle as float("inf")
-)
-
-
 def fresh_python(code: str) -> str:
     """stdout of ``code`` run by ``python -S`` with the package on the path."""
     prelude = f"import sys; sys.path.insert(0, {PACKAGE_ROOT!r}); "
@@ -73,43 +51,81 @@ def fresh_python(code: str) -> str:
     return proc.stdout
 
 
+def fresh_modules(code: str) -> tuple[str, dict]:
+    """What ``code`` prints in a fresh ``python -S``, and the modules it
+    loads there beyond the interpreter's own start, each with its file."""
+    out = fresh_python(
+        "START = set(sys.modules)\n" + code + "\nLOADED = {n: getattr(sys.modules[n],"
+        " '__file__', None) for n in set(sys.modules) - START}\n"
+        "import json\nprint(json.dumps(LOADED))"
+    )
+    printed, _, modules = out.rstrip("\n").rpartition("\n")
+    return printed, json.loads(modules)
+
+
+def outside_the_allow_rule(modules: dict) -> list:
+    """The modules a plain command may not load: all but the package's own,
+    the interpreter's built-in modules and extension modules.  Those hold
+    compiled code; any other standard-library module is Python that every
+    fresh ``lpa`` would load and run again, with whatever it imports."""
+    suffixes = tuple(importlib.machinery.EXTENSION_SUFFIXES)
+    return sorted(
+        name for name, path in modules.items()
+        if name != "leavittpath" and not name.startswith("leavittpath.")
+        and name not in sys.builtin_module_names
+        and not (path or "").endswith(suffixes)
+    )
+
+
+# every analysis subcommand uses these; the rest load on first use
+EAGER_MODULES = {
+    "leavittpath", "leavittpath.cli", "leavittpath._kernel", "leavittpath.classify",
+    "leavittpath.closures", "leavittpath.errors", "leavittpath.graph",
+}
+
+
 def test_cli_import_loads_only_what_every_subcommand_needs():
-    loaded = fresh_python("import leavittpath.cli; print(*sys.modules)").split()
-    assert "leavittpath.cli" in loaded
-    assert set(NOT_LOADED_BY_CLI).isdisjoint(loaded)
+    _, loaded = fresh_modules("import leavittpath.cli")
+    assert outside_the_allow_rule(loaded) == []
+    assert {name for name in loaded if name.startswith("leavittpath")} == EAGER_MODULES
 
 
-@pytest.mark.parametrize("argv", [
-    ["validate", "six"],
-    ["classify", "six"],
-    ["closure", "six", "--seed", "v3"],
-    ["report", "six"],
-    ["eval", "chain3", "--expr", "2 f1* f1", "--json"],
-    ["hedgehog", "omega-h", "--H", "h", "--S", "u"],
-], ids=lambda argv: argv[0])
-def test_a_fresh_command_loads_neither_shutil_nor_hashlib(argv):
+# each plain command, and the golden its output matches where it has one;
+# eval's coefficients are ints, since a fraction loads `fractions`
+PLAIN_COMMANDS = {
+    "validate": (["validate", "six"], "validate_six.json"),
+    "classify": (["classify", "six"], "classify_six.json"),
+    "closure": (["closure", "six", "--seed", "w2"], "closure_six.json"),
+    "report": (["report", "six"], "report_six.json"),
+    "eval": (["eval", "chain3", "--expr", "2 f1* f1", "--json"], None),
+    "eval-indexed": (
+        ["eval", "twoloop-oneloop", "--expr", "a1[1] a2[1]* - 3 f[1]* f", "--json"],
+        None,
+    ),
+    "hedgehog": (["hedgehog", "omega-h", "--H", "h", "--S", "u"], None),
+    "dot": (["dot", "six"], "dot_six.dot"),
+}
+
+
+@pytest.mark.parametrize("argv,golden", PLAIN_COMMANDS.values(), ids=PLAIN_COMMANDS)
+def test_a_fresh_command_loads_neither_shutil_nor_hashlib(argv, golden):
+    # nor any other pure-Python module of the standard library
     command, name, *options = argv
     path = str(ROOT / "fixtures" / f"{name}.lpa")
-    out = fresh_python(
+    printed, loaded = fresh_modules(
         f"sys.argv = ['lpa', {command!r}, {path!r}, *{options!r}]\n"
         "from leavittpath.cli import main\n"
         "try:\n    main()\nexcept SystemExit as exc:\n    code = exc.code\n"
-        "print(code, *sys.modules)"
+        "print(code)"
     )
-    payload, modules = out.splitlines()
-    assert json.loads(payload)["payload"]
-    if command == "report":
-        golden = ROOT / "tests" / "golden" / "report_six.json"
-        assert payload == golden.read_text(encoding="utf-8").rstrip("\n")
-    code, *loaded = modules.split()
+    output, _, code = printed.rpartition("\n")
     assert code == "0"
-    assert {"shutil", "hashlib", "_hashlib", "argparse", "gettext", "locale"}.isdisjoint(
-        loaded
-    )
-    if command == "eval":  # its tokenizer loads re; an int coefficient, no fractions
-        assert {"json", "fractions", "decimal", "numbers"}.isdisjoint(loaded)
-    else:
-        assert {"json", "re", "enum"}.isdisjoint(loaded)
+    if golden is not None:
+        expected = (ROOT / "tests" / "golden" / golden).read_text(encoding="utf-8")
+        assert output + "\n" == expected
+    if command != "dot":
+        assert json.loads(output)["payload"]
+    assert outside_the_allow_rule(loaded) == []
 
 
 PUBLIC_NAMES_PROBE = """
@@ -374,6 +390,116 @@ def test_value_classes_pickle_compare_and_freeze(name, value, field):
         setattr(value, field, getattr(value, field))
     with pytest.raises(AttributeError):
         value.extra = 1
+
+
+# the record classes as they were once defined, each as a subclass of
+# collections.namedtuple(name, fields, defaults=defaults): the reference
+# graph._record is held against
+NAMEDTUPLE_SPECS = {
+    "EdgeBundle": ("id source target mult", (1,)),
+    "Condensation": ("scc_of masks dag internal order", None),
+    "Classification": (
+        "p_l p_c p_ec p_binf p_pi p_ppi p_ec_prime p_pec p_prime p_K p_ex"
+        " condition_K condition_L exchange_breaking",
+        None,
+    ),
+    "DensityResult": ("dense witnesses", None),
+    "GradedIdealDescriptor": ("graph H S", None),
+    "CycleClass": ("kind member_sccs class_vertices tree label", None),
+    "LargestIdealsReport": (
+        "semisimple_gens loc_noetherian_gens loc_noetherian_no_min_idem_gens"
+        " purely_infinite_gens exchange_gens dense_gens dense dense_witnesses"
+        " pi_classes exchange_breaking notes",
+        None,
+    ),
+    "HedgehogGraph": ("base H S finite truncated_at path_vertex_table", None),
+    "Monomial": ("real ghost anchor", None),
+}
+RECORD_CLASSES = {name: type(value) for name, value, _ in VALUES}
+
+
+def _outcome(call):
+    """What ``call()`` gives, as (class name, plain tuple) for a tuple, or
+    the type and message of what it raises."""
+    try:
+        result = call()
+    except Exception as exc:  # the two sides must raise alike
+        return type(exc), str(exc)
+    if isinstance(result, tuple):
+        return type(result).__name__, tuple(result)
+    return result
+
+
+def _reduced(value, protocol):
+    """``value.__reduce_ex__(protocol)`` with its class written "cls"."""
+    return tuple(
+        tuple("cls" if a is type(value) else a for a in part)
+        if isinstance(part, tuple) else part
+        for part in value.__reduce_ex__(protocol)
+    )
+
+
+@pytest.mark.parametrize("name", NAMEDTUPLE_SPECS)
+def test_records_behave_as_their_namedtuple_twins(name):
+    fields, defaults = NAMEDTUPLE_SPECS[name]
+    cls = RECORD_CLASSES[name]
+    twin = collections.namedtuple(name, fields, defaults=defaults)
+    record = cls.__mro__[1]  # what _record built; cls adds methods
+    assert cls.__mro__[2:] == (tuple, object)
+    assert cls.__slots__ == record.__slots__ == ()
+    for attr in ("_fields", "_field_defaults", "__match_args__"):
+        assert getattr(cls, attr) == getattr(twin, attr), attr
+    assert cls.__new__.__defaults__ == twin.__new__.__defaults__
+    for field in twin._fields:
+        getter, twin_getter = vars(record)[field], vars(twin)[field]
+        assert type(getter) is type(twin_getter)
+        assert getter.__doc__ == twin_getter.__doc__
+    k = len(twin._fields)
+    required = k - len(defaults or ())
+    rng = random.Random(name)
+    made = []
+    for _ in range(30):
+        vals = [rng.randrange(3) for _ in range(k)]
+        keywords = dict(zip(twin._fields, vals))
+        for make in (
+            lambda C: C(*vals),
+            lambda C: C(**keywords),
+            lambda C: C(*vals[:required]),
+            lambda C: C(*vals[:-2]),
+            lambda C: C(*vals, 0),
+            lambda C: C(*vals[:-1], **{twin._fields[0]: 0}),
+            lambda C: C(**keywords, extra=0),
+            lambda C: C._make(vals),
+            lambda C: C._make(iter(vals[:-1])),
+        ):
+            assert _outcome(lambda: make(cls)) == _outcome(lambda: make(twin))
+        x, t = cls(*vals), twin(*vals)
+        made.append((x, t))
+        field = rng.choice(twin._fields)
+        for use in (
+            lambda v: v._replace(**{field: 7}),
+            lambda v: v._replace(**{field: 7}, nope=1),
+            lambda v: v._asdict(),
+            lambda v: getattr(v, field),
+            lambda v: v == tuple(vals),
+            hash,
+            lambda v: v[1:],
+        ):
+            assert _outcome(lambda: use(x)) == _outcome(lambda: use(t))
+        assert record.__repr__(x) == repr(t)
+        assert x == t
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            unpickled = pickle.loads(pickle.dumps(x, protocol))
+            assert type(unpickled) is cls and unpickled == x
+            assert _reduced(x, protocol) == _reduced(t, protocol)
+        if hasattr(copy, "replace"):  # Python 3.13+
+            assert _outcome(lambda: copy.replace(x, **{field: 5})) == (
+                _outcome(lambda: copy.replace(t, **{field: 5}))
+            )
+    for (x, t), (y, u) in zip(made, made[1:]):
+        assert (x < y, x <= y, x > y, x == y) == (t < u, t <= u, t > u, t == u)
+    with pytest.raises(AttributeError):
+        made[0][0].extra = 1
 
 
 def test_member_sets_iterate_members_and_ignore_rounds():

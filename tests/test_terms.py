@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from leavittpath.terms import (
     Monomial,
     _instance_table,
     _normalize_monomial,
+    _tokenize,
     element_payload,
 )
 
@@ -158,6 +160,68 @@ def test_parse_errors():
         parse_element(g, "(v1")
     with pytest.raises(ExpressionError):
         parse_element(g, "v1 @ v2")
+
+
+# The tokenizer as it was written with a regex: the reference the scanner
+# in terms._tokenize is held against.
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<number>[0-9]+(?:/[0-9]+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:\[[0-9]+\])?)"
+    r"|(?P<sym>[()*+-]))"
+)
+
+
+def _regex_tokenize(text: str):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m or m.end() == pos:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            col = len(text) - len(stripped) + 1
+            raise ExpressionError(f"unexpected character '{stripped[0]}'", col)
+        pos = m.end()
+        if m.group("number"):
+            tokens.append(("number", m.group("number"), m.start("number") + 1))
+        elif m.group("ident"):
+            tokens.append(("ident", m.group("ident"), m.start("ident") + 1))
+        else:
+            tokens.append(("sym", m.group("sym"), m.start("sym") + 1))
+    tokens.append(("end", "", len(text) + 1))
+    return tokens
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ExpressionError as exc:
+        return str(exc), exc.column
+
+
+# ASCII digits and letters are tokens, and Unicode digits and letters are
+# not; the whitespace includes the Unicode kinds \s matches
+EXPRESSION_ALPHABET = (
+    "0123456789/" "aeZ_x9" "[]" "()*+-" " \t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u3000"
+    "\u0663\u00b2\uff11\u00e9\u00df" "#.@!^,;"
+)
+
+
+def test_tokenizer_matches_the_regex_tokenizer():
+    # \s is str.isspace on every code point, so the scanner's whitespace
+    # test is the regex's
+    every = "".join(map(chr, range(0x110000)))
+    assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+    rng = random.Random(20190524)
+    texts = ["", " ", "e[", "e[]", "e[2]]", "1/", "1/2/3", "x1[07]y", "\u3000e1"]
+    for _ in range(20000):
+        n = rng.randrange(1, 12)
+        texts.append("".join(rng.choice(EXPRESSION_ALPHABET) for _ in range(n)))
+    for text in texts:
+        assert _tokens_or_error(_tokenize, text) == (
+            _tokens_or_error(_regex_tokenize, text)
+        ), repr(text)
 
 
 def test_parse_rejects_bare_scalars():
