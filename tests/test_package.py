@@ -63,15 +63,24 @@ def fresh_modules(code: str) -> tuple[str, dict]:
     return printed, json.loads(modules)
 
 
+# compiled modules that are still too dear for a plain command
+KEPT_OUT = {
+    "_hashlib",  # loads OpenSSL; graph_digest takes the built-in sha256
+    "math",  # condense counts an ω-bundle as float("inf")
+}
+
+
 def outside_the_allow_rule(modules: dict) -> list:
     """The modules a plain command may not load: all but the package's own,
-    the interpreter's built-in modules and extension modules.  Those hold
-    compiled code; any other standard-library module is Python that every
-    fresh ``lpa`` would load and run again, with whatever it imports."""
+    the interpreter's built-in modules and extension modules, and of those
+    none in ``KEPT_OUT``.  Built-in and extension modules hold compiled
+    code; any other standard-library module is Python that every fresh
+    ``lpa`` would load and run again, with whatever it imports."""
     suffixes = tuple(importlib.machinery.EXTENSION_SUFFIXES)
     return sorted(
         name for name, path in modules.items()
-        if name != "leavittpath" and not name.startswith("leavittpath.")
+        if name in KEPT_OUT
+        or name != "leavittpath" and not name.startswith("leavittpath.")
         and name not in sys.builtin_module_names
         and not (path or "").endswith(suffixes)
     )
