@@ -159,6 +159,16 @@ def breaking_vertices(g: Graph, H) -> BreakingSet:
     return BreakingSet(tuple(counts), counts)
 
 
+def check_breaking(g: Graph, H, S) -> None:
+    """Refuse (H, S) unless S lies in B_H: an unknown id in S is named as
+    unknown, an H that is not hereditary as such, and otherwise every
+    member of S outside B_H, sorted."""
+    g.check_vertices(S)
+    stray = sorted(set(S).difference(breaking_vertices(g, H).members))
+    if stray:
+        raise GraphValidationError(f"not breaking vertices of H: {stray}")
+
+
 def breaking_capable_mask(g: Graph) -> int:
     """Vertices that break *some* hereditary set (with a nonzero escape).
 

@@ -21,7 +21,7 @@ Each F-set is listed shortest first, by the walk that counts it, and
 sorted by name.
 """
 
-from .closures import breaking_vertices
+from .closures import check_breaking
 from .errors import GraphValidationError
 from .graph import OMEGA, EdgeBundle, Graph, _record, condense
 
@@ -43,18 +43,6 @@ class HedgehogGraph(
 
 def path_vertex_name(instances) -> str:
     return "p:" + ".".join(instances)
-
-
-def _validate(g: Graph, H, S) -> tuple[set, set]:
-    hset, sset = set(H), set(S)
-    g.check_vertices(sset)
-    # breaking_vertices also rejects an H that is not hereditary
-    bad = sset - set(breaking_vertices(g, hset).members)
-    if bad:
-        raise GraphValidationError(
-            f"invalid S: {sorted(bad)} are not breaking vertices of H"
-        )
-    return hset, sset
 
 
 def _route_bundles(g: Graph, hset: set, sset: set):
@@ -161,7 +149,8 @@ def build_hedgehog(g: Graph, H, S, depth_limit: int = 6) -> HedgehogGraph:
     """
     if depth_limit < 1:
         raise GraphValidationError("depth_limit must be >= 1")
-    hset, sset = _validate(g, H, S)
+    hset, sset = set(H), set(S)
+    check_breaking(g, hset, sset)
     routes = [
         _route_table(g, mid, final) for mid, final in _route_bundles(g, hset, sset)
     ]

@@ -11,7 +11,7 @@ purely infinite part into simple and non-simple-indecomposable classes.
 
 from . import _kernel
 from .classify import _classify_masks, classify
-from .closures import breaking_vertices, density_witnesses, hs_closure
+from .closures import check_breaking, density_witnesses, hs_closure
 from .errors import GraphValidationError, InvariantViolation
 from .graph import Graph, _record, condense, per_graph
 
@@ -23,14 +23,8 @@ class GradedIdealDescriptor(_record("GradedIdealDescriptor", "graph H S")):
 def ideal_descriptor(g: Graph, X, S=()) -> GradedIdealDescriptor:
     """Canonical descriptor of the graded ideal generated by X and {v^H: v ∈ S}."""
     S = tuple(sorted(set(S)))
-    g.check_vertices(S)
     closure = hs_closure(g, X)
-    allowed = set(breaking_vertices(g, closure).members)
-    stray = [v for v in S if v not in allowed]
-    if stray:
-        raise GraphValidationError(
-            f"'{stray[0]}' is not a breaking vertex of the closure"
-        )
+    check_breaking(g, closure, S)
     return GradedIdealDescriptor(g, closure.members, S)
 
 

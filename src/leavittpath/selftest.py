@@ -79,8 +79,10 @@ def _oracle_pairs(g: Graph):
         yield "properly_infinite", properly_infinite(g), slow
     # the P′ classes against cycle enumeration and union-find
     classes = pi_decomposition(g)
-    fast = sorted(frozenset(cl.class_vertices) for cl in classes if cl.kind == "Pprime")
-    yield "P' classes", fast, sorted(pprime_classes_oracle(g, set(c.p_prime)))
+    # by minimum: on frozensets, < is the subset order
+    fast = [frozenset(cl.class_vertices) for cl in classes if cl.kind == "Pprime"]
+    slow = pprime_classes_oracle(g, set(c.p_prime))
+    yield "P' classes", sorted(fast, key=min), sorted(slow, key=min)
 
 
 def check_oracles(g: Graph) -> None:

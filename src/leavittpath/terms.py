@@ -23,7 +23,7 @@ are exact: ints, and Fractions only where a denominator is left.
 
 import sys
 
-from .closures import breaking_vertices
+from .closures import check_breaking
 from .errors import ExpressionError, GraphValidationError
 from .graph import OMEGA, Graph, _record, instance_id, parse_instance, per_graph
 
@@ -314,11 +314,8 @@ def graded_components(a: AlgebraElement) -> dict:
 
 def v_H_element(g: Graph, v: str, H) -> AlgebraElement:
     """v^H = v − Σ ee* over the finitely many edges from v landing outside H."""
-    g.check_vertices((v,))
-    bset = breaking_vertices(g, H)
-    if v not in bset.members:
-        raise GraphValidationError(f"'{v}' is not a breaking vertex of H")
     hset = set(H)
+    check_breaking(g, hset, (v,))
     terms = {Monomial((), (), v): 1}
     for b in g.out_bundles(v):
         if b.mult is OMEGA or b.target in hset:

@@ -165,28 +165,9 @@ def test_maximality_probe_rejects_a_smaller_p_ppi(monkeypatch):
         check_maximality(g)
 
 
-def _generator_elements(g):
-    vs = [AlgebraElement.vertex(g, v) for v in g.vertices]
-    es, gs = [], []
-    for b in g.bundles:
-        if b.is_omega:
-            continue
-        for i in range(1, b.mult + 1):
-            tok = b.id if b.mult == 1 else f"{b.id}[{i}]"
-            es.append((tok, b))
-            gs.append((tok, b))
-    return vs, es, gs
-
-
 def _check_relations(g):
     V = {v: AlgebraElement.vertex(g, v) for v in g.vertices}
-    insts = []
-    for b in g.bundles:
-        if b.is_omega:
-            continue
-        for i in range(1, b.mult + 1):
-            tok = b.id if b.mult == 1 else f"{b.id}[{i}]"
-            insts.append((tok, b))
+    insts = [(t, b) for b in g.bundles if not b.is_omega for t in b.instances]
     E = {t: AlgebraElement.edge(g, t) for t, _ in insts}
     Gh = {t: AlgebraElement.ghost_edge(g, t) for t, _ in insts}
     zero = AlgebraElement.zero(g)
@@ -264,8 +245,7 @@ def test_criterion_7_term_engine(capsys):
             for b in g.bundles:
                 if b.is_omega:
                     continue
-                for i in range(1, b.mult + 1):
-                    tok = b.id if b.mult == 1 else f"{b.id}[{i}]"
+                for tok in b.instances:
                     gens.append(AlgebraElement.edge(g, tok))
                     gens.append(AlgebraElement.ghost_edge(g, tok))
             pool.append((g, gens))

@@ -17,9 +17,10 @@ from leavittpath import (
     v_H_element,
 )
 
+from leavittpath import cli
 from leavittpath.random_graphs import random_graphs
 
-from conftest import fixture_graph
+from conftest import fixture_graph, fixture_path
 
 
 def test_hereditary_and_saturated_predicates():
@@ -227,3 +228,35 @@ OMEGA_H = fixture_graph("omega-h")  # u breaks H = {h, x}
 def test_unknown_vertex_id_is_named(call):
     with pytest.raises(GraphValidationError, match="unknown vertex id 'nope'"):
         call(fixture_graph("chain3sink"))
+
+
+def test_one_refusal_for_s_outside_b_h(capsys):
+    # x is a sink, so it breaks no H; the closure of {h} is {h}
+    refusal = "not breaking vertices of H: ['x']"
+    for call in (
+        lambda: ideal_descriptor(OMEGA_H, ("h",), S=("x",)),
+        lambda: build_hedgehog(OMEGA_H, ("h",), ("x",)),
+        lambda: v_H_element(OMEGA_H, "x", ("h",)),
+    ):
+        with pytest.raises(GraphValidationError) as exc:
+            call()
+        assert str(exc.value) == refusal
+    assert cli.run(["hedgehog", fixture_path("omega-h"), "--H", "h", "--S", "x"]) == 2
+    assert capsys.readouterr() == ("", f"error: {refusal}\n")
+
+
+@pytest.mark.parametrize(
+    "call, refusal",
+    [
+        (lambda: build_hedgehog(OMEGA_H, ("h",), ("x", "u", "h")),
+         "not breaking vertices of H: ['h', 'x']"),
+        (lambda: build_hedgehog(OMEGA_H, ("u",), ()), "H is not hereditary"),
+        (lambda: v_H_element(OMEGA_H, "u", ("u",)), "H is not hereditary"),
+    ],
+    ids=["every-stray-sorted", "build_hedgehog-H", "v_H_element-H"],
+)
+def test_check_breaking_names_what_is_wrong(call, refusal):
+    # u breaks {h}, which holds h; {u} is not hereditary, as u reaches h
+    with pytest.raises(GraphValidationError) as exc:
+        call()
+    assert str(exc.value) == refusal

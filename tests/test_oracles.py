@@ -2,8 +2,10 @@
 
 The oracles get cross-checked against the fast paths in bulk elsewhere;
 here they are pinned on small cases worked out by hand, so a bug cannot
-hide in both routes at once.  The one bulk sweep here is the ω one: it
-covers multiplicity ω, which the exhaustive sweeps elsewhere leave out.
+hide in both routes at once.  The one bulk sweep here is the ω one, which
+the exhaustive sweeps elsewhere leave out: ``selftest.check_oracles`` plus
+the checks its table lacks (SCCs, trees and reaching sets, breaking-capable
+vertices, P_(K), P_ppi, P_ex and the P′ trees).
 """
 
 import itertools
@@ -17,7 +19,6 @@ from leavittpath import (
     breaking_capable,
     classify,
     condense,
-    csp_class,
     hs_closure,
     parse_graph,
     pi_decomposition,
@@ -257,36 +258,22 @@ def test_tree_mask_and_reaching_match_reach_sets():
 def test_csp_and_cycle_sets_match_oracles_with_omega():
     for n, code in omega_sweep_codes():
         g = _graph_from_code(n, code)
+        check_oracles(g)
         reach = reach_sets(g)
         # every subset of the at most 3 vertices, single vertices included
         _check_tree_and_reaching(g, reach, range(1 << n))
-        for v in g.vertices:
-            assert csp_class(g, v) == csp_class_oracle(g, v), to_text(g)
-            assert hs_closure(g, {v}).members == tuple(
-                sorted(hs_closure_oracle(g, {v}))
-            ), to_text(g)
         sccs = tuple(frozenset(g.set_of(m)) for m in condense(g).masks)
         assert sccs == sccs_oracle(g), to_text(g)
         c = classify(g)
-        assert c.p_c == cycles_without_exits_oracle(g), to_text(g)
-        assert c.p_ec == extreme_cycles_oracle(g), to_text(g)
-        assert c.p_l == line_points_oracle(g), to_text(g)
-        assert c.p_binf == b_infinity_oracle(g), to_text(g)
         assert breaking_capable(g) == breaking_capable_oracle(g), to_text(g)
         assert c.p_K == p_K_oracle(g), to_text(g)
-        assert properly_infinite(g) == properly_infinite_subsets_oracle(g), (
-            to_text(g)
-        )
         assert c.p_ppi == p_ppi_oracle(g), to_text(g)
         assert c.p_ex == p_ex_oracle(g), to_text(g)
-        # each P′ class is the oracle's, and its tree is T(class vertices)
-        prime = [cl for cl in pi_decomposition(g) if cl.kind == "Pprime"]
-        assert [frozenset(cl.class_vertices) for cl in prime] == list(
-            pprime_classes_oracle(g, c.p_prime)
-        ), to_text(g)
-        for cl in prime:
-            tree = set().union(*(reach[v] for v in cl.class_vertices))
-            assert cl.tree == tuple(sorted(tree)), to_text(g)
+        # each P′ class's tree is T(class vertices)
+        for cl in pi_decomposition(g):
+            if cl.kind == "Pprime":
+                tree = set().union(*(reach[v] for v in cl.class_vertices))
+                assert cl.tree == tuple(sorted(tree)), to_text(g)
 
 
 def _saturate_once_by_definition(g, X):

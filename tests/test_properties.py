@@ -109,8 +109,7 @@ def test_star_antihomomorphism(g, seed):
     for b in g.bundles:
         if b.is_omega:
             continue
-        for i in range(1, b.mult + 1):
-            tok = b.id if b.mult == 1 else f"{b.id}[{i}]"
+        for tok in b.instances:
             gens.append(AlgebraElement.edge(g, tok))
             gens.append(AlgebraElement.ghost_edge(g, tok))
     a = rng.choice(gens) * rng.choice(gens) + rng.choice(gens)
