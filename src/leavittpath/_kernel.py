@@ -6,6 +6,11 @@ any size work here).  No kernel recurses, so no stack depth grows with the
 input.
 """
 
+from itertools import compress
+
+# binary digits as the bytes 0 and 1, selectors for ``itertools.compress``
+BITS = bytes.maketrans(b"01", b"\x00\x01")
+
 
 def reach_masks(values: list[int], dag, order) -> list[int]:
     """Per component of a condensation DAG, the OR of ``values`` over every
@@ -107,19 +112,36 @@ def members_mask(members: list[int]) -> int:
 def saturation_step(mask: int, regular) -> int:
     """Vertices that one saturation step adds to ``mask``.
 
-    ``regular`` lists (vertex, successor indices) pairs of the regular
-    vertices.  The step adds, simultaneously, every regular vertex outside
-    the set whose successors all lie inside.
+    ``regular`` is (the mask of the regular vertices, the successor indices
+    of each vertex).  The step adds, simultaneously, every regular vertex
+    outside the set whose successors all lie inside; only those candidates
+    are visited.  Each bit test shifts the mask, which copies it, so past
+    16 candidates the mask's digits are read once as a string and indexed.
     """
-    added = 0
-    for v, succ in regular:
-        if not mask >> v & 1:
-            for t in succ:
+    regular_mask, succ = regular
+    todo = regular_mask & ~mask
+    if todo.bit_count() <= 16:
+        added = 0
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            for t in succ[low.bit_length() - 1]:
                 if not mask >> t & 1:
                     break
             else:
-                added |= 1 << v
-    return added
+                added |= low
+        return added
+    n = len(succ)
+    held = format(mask, "b").zfill(n)[::-1]  # held[t] is "1" when t is in
+    todo = format(todo, "b").encode()[::-1].translate(BITS)
+    added = []
+    for v in compress(range(n), todo):
+        for t in succ[v]:
+            if held[t] == "0":
+                break
+        else:
+            added.append(v)
+    return members_mask(added)
 
 
 def saturation_fixpoint(mask: int, regular) -> tuple[int, int]:

@@ -12,15 +12,13 @@ the density criterion.  Conventions:
 
 from . import _kernel
 from .errors import GraphValidationError, InvariantViolation
-from .graph import INFINITE_EMITTER, OMEGA, REGULAR, Graph, _record, per_graph
+from .graph import INFINITE_EMITTER, OMEGA, REGULAR, Graph, _record
 
 
-@per_graph
-def _regular_targets(g: Graph) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(vertex index, successor indices) of each Regular vertex, for
+def _regular_targets(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The Regular vertices' mask and every vertex's successor indices, for
     saturation."""
-    succ = g.successors
-    return tuple((i, succ[i]) for i in g.indices_of(g.kind_mask(REGULAR)))
+    return g.kind_mask(REGULAR), g.successors
 
 
 class _MemberSet:

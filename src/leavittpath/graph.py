@@ -15,6 +15,7 @@ from _operator import attrgetter
 from itertools import compress
 
 from . import _kernel
+from ._kernel import BITS
 from .errors import GraphSyntaxError, GraphValidationError
 
 # hashlib loads OpenSSL, which costs a fresh `lpa` more than the one digest it
@@ -61,9 +62,6 @@ REGULAR = "Regular"
 INFINITE_EMITTER = "InfiniteEmitter"
 
 _KEYWORDS = frozenset({"vertices", "edge", "bundle", "omega"})
-
-# binary digits as the bytes 0 and 1, the selectors of ``Graph.set_of``
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def is_valid_id(token: str) -> bool:
@@ -370,7 +368,7 @@ class Graph:
     def _selectors(self, mask: int) -> bytes:
         """Per index, the byte 1 when it is in ``mask`` and 0 when not (up
         to the highest index in it): one pass over the binary digits."""
-        return format(mask & self._full, "b").encode()[::-1].translate(_BITS)
+        return format(mask & self._full, "b").encode()[::-1].translate(BITS)
 
     @property
     def out_table(self) -> tuple[tuple[EdgeBundle, ...], ...]:

@@ -279,8 +279,11 @@ def test_csp_and_cycle_sets_match_oracles_with_omega():
 def _saturate_once_by_definition(g, X):
     """X plus every vertex outside X with edges, none ω, all landing in X."""
     out = set(X)
+    emitted = {v: [] for v in g.vertices}
+    for b in g.bundles:
+        emitted[b.source].append(b)
     for v in g.vertices:
-        bundles = [b for b in g.bundles if b.source == v]
+        bundles = emitted[v]
         if (
             v not in X
             and bundles
@@ -306,6 +309,83 @@ def test_saturation_matches_definitions_with_omega():
             assert saturate_once(g, X) == _saturate_once_by_definition(g, X), (
                 to_text(g)
             )
+
+
+def _closure_by_definition(g, X):
+    """(members, rounds) of X's closure: every vertex X reaches, then the
+    simultaneous step above until it adds nothing, counting the passes
+    that grew the set."""
+    held, todo = set(X), list(X)
+    while todo:
+        for t in g.targets(todo.pop()):
+            if t not in held:
+                held.add(t)
+                todo.append(t)
+    rounds = 0
+    while True:
+        grown = set(_saturate_once_by_definition(g, held))
+        if grown == held:
+            return tuple(sorted(held)), rounds
+        held, rounds = grown, rounds + 1
+
+
+def _chain_into_sink(k):
+    """k regular vertices c000 → c001 → … → z, z a sink."""
+    names = [f"c{i:03}" for i in range(k)] + ["z"]
+    edges = "".join(
+        f"edge e{i} {a} {b}\n" for i, (a, b) in enumerate(zip(names, names[1:]))
+    )
+    return parse_graph(f"vertices {' '.join(names)}\n{edges}")
+
+
+def _fan_into_sink(k):
+    """k regular vertices f000 … each with one edge into the sink z."""
+    names = [f"f{i:03}" for i in range(k)]
+    edges = "".join(f"edge e{i} {a} z\n" for i, a in enumerate(names))
+    return parse_graph(f"vertices {' '.join(names)} z\n{edges}")
+
+
+def _mostly_regular_graph(rng, n):
+    """n vertices; a tenth are sinks, the rest emit one to three bundles to
+    uniform targets, one bundle in twenty ω."""
+    lines = ["vertices " + " ".join(f"v{i:02}" for i in range(n))]
+    for i in range(n):
+        for _ in range(0 if rng.random() < 0.1 else rng.randint(1, 3)):
+            kind = "bundle" if rng.random() < 0.05 else "edge"
+            mult = " omega" if kind == "bundle" else rng.choice(("", " x2"))
+            lines.append(
+                f"{kind} e{len(lines)} v{i:02} v{rng.randrange(n):02}{mult}"
+            )
+    return parse_graph("\n".join(lines) + "\n")
+
+
+def test_saturation_matches_definitions_past_a_few_candidates():
+    # the ω sweep above has at most 3 vertices; these graphs have up to 60,
+    # and the mostly regular ones, the chain and the fan leave more than
+    # the few regular vertices outside the set that the step tests by
+    # shifting the mask, so it reads the mask's digits as a string
+    rng = random.Random(40)
+    graphs = [*random_graphs(300, 40, max_vertices=40)]
+    graphs += [_mostly_regular_graph(rng, rng.randint(30, 60)) for _ in range(100)]
+    cases = [
+        (g, [v for v in g.vertices if rng.random() < p])
+        for g in graphs
+        for p in (0.0, 0.1, 0.5, 0.9)
+    ]
+    chain, fan = _chain_into_sink(200), _fan_into_sink(100)
+    cases += [(chain, ["z"]), (chain, ["c100"]), (chain, []), (fan, ["z"])]
+    for g, X in cases:
+        assert saturate_once(g, X) == _saturate_once_by_definition(g, X), (
+            to_text(g), X
+        )
+        closed = hs_closure(g, X)
+        members, rounds = _closure_by_definition(g, X)
+        assert set(closed.members) == hs_closure_oracle(g, X), (to_text(g), X)
+        assert (closed.members, closed.rounds) == (members, rounds), (
+            to_text(g), X
+        )
+    assert hs_closure(fan, ["z"]).rounds == 1
+    assert hs_closure(chain, ["z"]).rounds == 200
 
 
 def _summand_graphs():
