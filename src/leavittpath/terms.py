@@ -117,6 +117,30 @@ def _instance_table(g: Graph) -> _InstanceTable:
     return _InstanceTable(g)
 
 
+def _check_path_pair(g: Graph, m: Monomial) -> None:
+    """Raise unless m's paths are paths of g, named by canonical instance
+    ids, that end at its anchor, a vertex of g."""
+    real, ghost, anchor = m
+    if not g.has_vertex(anchor):
+        raise GraphValidationError(f"{m!r}: anchor '{anchor}' is not a vertex")
+    for path in (real, ghost):
+        at = None
+        for inst in path:
+            try:  # refuses vertex ids, unknown bundles and ω members
+                b, idx = parse_instance(g, inst)
+            except GraphValidationError as exc:
+                raise GraphValidationError(f"{m!r}: {exc}") from None
+            if instance_id(b, idx) != inst:
+                raise GraphValidationError(
+                    f"{m!r}: '{inst}' is written '{instance_id(b, idx)}'"
+                )
+            if at is not None and b.source != at:
+                raise GraphValidationError(f"{m!r}: '{inst}' does not leave '{at}'")
+            at = b.target
+        if at is not None and at != anchor:
+            raise GraphValidationError(f"{m!r}: path ends at '{at}', not at the anchor")
+
+
 def _normalize_monomial(table: _InstanceTable, m: Monomial, c, acc: dict) -> None:
     """CK2-rewrite m into normal-form terms, accumulating into acc."""
     work = [(m, c)]
@@ -151,6 +175,7 @@ class AlgebraElement:
         table = _instance_table(graph)
         acc: dict = {}
         for mono, coeff in dict(terms or {}).items():
+            _check_path_pair(graph, mono)
             _normalize_monomial(table, mono, _exact(coeff), acc)
         self._terms = _settled(acc)
 
@@ -192,6 +217,10 @@ class AlgebraElement:
             return NotImplemented
         if other.graph is not self.graph:
             self._require_same_graph(other)
+        if not other._terms:  # elements are immutable, so 0 + x is x itself
+            return self
+        if not self._terms:
+            return other
         out = dict(self._terms)
         get = out.get
         for m, c in other._terms.items():
@@ -211,7 +240,10 @@ class AlgebraElement:
         return self + (-other)
 
     def scale(self, k) -> "AlgebraElement":
-        k = _exact(k)
+        if type(k) is not int:
+            k = _exact(k)
+        if k == 1:
+            return self
         if not k:
             return _normal(self.graph, {})
         # ℚ has no zero divisors, so no term vanishes; only a product that
@@ -230,8 +262,12 @@ class AlgebraElement:
         g = self.graph
         if other.graph is not g:
             self._require_same_graph(other)
-        table = _instance_table(g)
         left, right = self._terms, other._terms
+        if not left:  # the zero operand is the product, whatever the other
+            return self
+        if not right:
+            return other
+        table = _instance_table(g)
         single = len(left) == 1 == len(right)
         new = tuple.__new__  # skips Monomial's Python-level __new__
         acc: dict = {}

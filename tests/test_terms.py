@@ -481,7 +481,7 @@ def _typed(terms):
 def test_product_matches_the_unfused_reference():
     rng = random.Random(17)
     seen = {"ck2": 0, "cancelled": 0, "single": 0, "fraction": 0, "zero": 0,
-            "omega": 0}
+            "zero_operand": 0, "omega": 0}
     for g in _product_graphs():
         gens = _generators(g)
         seen["omega"] += any(b.is_omega for b in g.bundles)
@@ -495,6 +495,7 @@ def test_product_matches_the_unfused_reference():
             seen["fraction"] += any(type(c) is not int for c in (*x.terms.values(),
                                                                  *y.terms.values()))
             seen["zero"] += not expected
+            seen["zero_operand"] += not x.terms or not y.terms
     # the sample holds every case the fused loop treats apart
     assert min(seen.values()) > 0, seen
 
@@ -539,6 +540,42 @@ def test_scale_by_an_int_demotes_fractions_it_makes_whole():
     assert half.scale(0).is_zero() and half.scale(Fraction(0)).is_zero()
 
 
+# -- sums, products and scalings by 0 or 1 ------------------------------------
+
+
+def test_identities_give_an_operand_and_leave_the_operands_alone():
+    rng = random.Random(31)
+    elsewhere = parse_graph("vertices elsewhere\n")
+    zero_h, w = AlgebraElement.zero(elsewhere), V(elsewhere, "elsewhere")
+    for g in _product_graphs():
+        gens = _generators(g)
+        zero = AlgebraElement.zero(g)
+        for _ in range(20):
+            x = _random_element(rng, g, gens)
+            before = _typed(x.terms)
+            for same in (x + zero, zero + x, x - zero,
+                         x.scale(1), x.scale(Fraction(1)), x.scale("1")):
+                assert _typed(same.terms) == before, x
+            assert zero - x == -x
+            assert (x * zero).is_zero() and (zero * x).is_zero()
+            # a zero of another graph is refused like any other element
+            for other in (zero_h, w):
+                for op in (lambda a, b: a + b, lambda a, b: a * b):
+                    for a, b in ((x, other), (other, x), (zero, other)):
+                        with pytest.raises(GraphValidationError):
+                            op(a, b)
+            assert _typed(x.terms) == before and zero.terms == {}
+    assert zero_h.terms == {} and w.terms == {Monomial((), (), "elsewhere"): 1}
+
+
+def test_a_zero_operand_never_reads_the_instance_table():
+    g = fixture_graph("chain3")  # parsed afresh, so its memo is empty
+    zero, v = AlgebraElement.zero(g), V(g, "v2")
+    assert (zero * v).is_zero() and (v * zero).is_zero()
+    assert f"{_instance_table.__module__}.{_instance_table.__qualname__}" not in g._memo
+    assert _instance_table(g) == {}
+
+
 # -- the involution keeps normal form; the public constructor normalises ------
 
 
@@ -568,3 +605,23 @@ def test_public_constructor_rewrites_by_ck2():
     # nested: f1 b1 b1* f1* rewrites at v2, then f1 f1* stays (a1 is γ(v1))
     nested = Monomial(("f1", "b1"), ("f1", "b1"), "v2")
     assert AlgebraElement(g, {nested: 1}) == E(g, "f1") * expected * G(g, "f1")
+
+
+@pytest.mark.parametrize("name, mono, fault", [
+    ("chain3", Monomial(("zz",), (), "v1"), "unknown bundle id 'zz'"),
+    ("chain3", Monomial(("a1", "b1"), (), "v2"), "'b1' does not leave 'v1'"),
+    ("chain3", Monomial((), ("f1", "a1"), "v1"), "'a1' does not leave 'v2'"),
+    ("chain3", Monomial(("b1",), (), "nope"), "anchor 'nope' is not a vertex"),
+    ("chain3", Monomial((), (), "qq"), "anchor 'qq' is not a vertex"),
+    ("chain3", Monomial(("v1",), (), "v1"), "unknown bundle id 'v1'"),
+    ("chain3", Monomial(("a1",), ("a1",), "v2"), "path ends at 'v1', not at the anchor"),
+    ("chain3", Monomial(("b1[1]",), ("b1",), "v2"), "'b1[1]' is written 'b1'"),
+    ("omega-h", Monomial(("m",), (), "h"), "'m' refers to omega bundle 'm'"),
+    ("omega-h", Monomial(("f",), ("m[1]",), "x"), "'m[1]' refers to omega bundle 'm'"),
+], ids=("unknown-edge", "real-path-breaks", "ghost-path-breaks", "unknown-anchor",
+        "unknown-vertex", "vertex-in-path", "path-misses-anchor", "uncanonical-id",
+        "omega-member", "omega-member-indexed"))
+def test_public_constructor_refuses_what_is_no_path_pair(name, mono, fault):
+    g = fixture_graph(name)
+    with pytest.raises(GraphValidationError, match=re.escape(f"{mono!r}: {fault}")):
+        AlgebraElement(g, {mono: 1})
