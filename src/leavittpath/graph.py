@@ -325,23 +325,6 @@ class Graph:
     def has_bundle(self, eid: str) -> bool:
         return eid in self._by_id
 
-    def out_bundles(self, v: str) -> tuple[EdgeBundle, ...]:
-        return self._out[self.index(v)]
-
-    def kind(self, v: str) -> str:
-        i = self.index(v)
-        return next(k for k, mask in self._kind_masks.items() if mask >> i & 1)
-
-    def is_regular(self, v: str) -> bool:
-        return self._kind_masks[REGULAR] >> self.index(v) & 1 == 1
-
-    def is_infinite_emitter(self, v: str) -> bool:
-        return self._kind_masks[INFINITE_EMITTER] >> self.index(v) & 1 == 1
-
-    def targets(self, v: str) -> tuple[str, ...]:
-        """Distinct targets of v's out-bundles, sorted."""
-        return _target_table(self)[self.index(v)]
-
     # -- the integer view ---------------------------------------------------
 
     def index(self, v: str) -> int:
@@ -429,15 +412,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph({len(self._vertices)} vertices, {len(self._bundles)} bundles)"
-
-
-# the table that only some callers of ``Graph`` read
-
-
-@per_graph
-def _target_table(g: Graph) -> tuple[tuple[str, ...], ...]:
-    name = g.vertices.__getitem__
-    return tuple(tuple(map(name, sorted(set(ts)))) for ts in g.successors)
 
 
 class Condensation(_record("Condensation", "scc_of masks dag internal order")):

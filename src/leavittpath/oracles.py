@@ -1,14 +1,15 @@
 """Slow reference implementations used by the test suite.
 
-Everything here recomputes from first principles — plain BFS over
-``g.targets`` and explicit enumeration — and deliberately avoids the bitmask
-kernels, the closure engine and the classifiers, so that agreement between
-the two routes is meaningful evidence rather than a tautology.  The
-per-graph answers every check reads (reach sets, simple cycles, CSP walk
+Everything here recomputes from first principles — plain BFS and explicit
+enumeration over a view read off ``g.vertices`` and ``g.bundles`` alone —
+and deliberately avoids ``Graph``'s integer view, the bitmask kernels, the
+closure engine and the classifiers, so that agreement between the two
+routes is meaningful evidence rather than a tautology.  The per-graph
+answers every check reads (that view, reach sets, simple cycles, CSP walk
 verdicts) are computed once in the graph's memo and returned read-only.
 """
 
-from .graph import OMEGA, Graph, per_graph
+from .graph import OMEGA, Graph, _record, per_graph
 
 
 class _FrozenDict(dict):
@@ -26,17 +27,45 @@ class _FrozenDict(dict):
         return type(self), (dict(self),)
 
 
+class _Row(_record("_Row", "out targets count")):
+    """A vertex's out-bundles in id order as (target, mult), its distinct
+    targets sorted, and its edge-instance count, ω once a bundle is."""
+
+    __slots__ = ()
+
+
+@per_graph
+def _reference(g: Graph) -> _FrozenDict:
+    """{v: _Row} read off the vertex and bundle lists alone (memoized,
+    read-only)."""
+    out = {v: [] for v in g.vertices}
+    for b in g.bundles:
+        out[b.source].append((b.target, b.mult))
+    rows = {}
+    for v, pairs in out.items():
+        mults = [m for _, m in pairs]
+        count = OMEGA if OMEGA in mults else sum(mults)
+        rows[v] = _Row(tuple(pairs), tuple(sorted({t for t, _ in pairs})), count)
+    return _FrozenDict(rows)
+
+
+def _regular(row: _Row) -> bool:
+    """Neither a sink nor an infinite emitter."""
+    return row.count not in (0, OMEGA)
+
+
 @per_graph
 def reach_sets(g: Graph) -> dict:
     """{v: set of vertices reachable from v} via breadth-first search
     (memoized, read-only)."""
+    ref = _reference(g)
     out = {}
     for v in g.vertices:
         seen = {v}
         stack = [v]
         while stack:
             u = stack.pop()
-            for t in g.targets(u):
+            for t in ref[u].targets:
                 if t not in seen:
                     seen.add(t)
                     stack.append(t)
@@ -53,8 +82,8 @@ def _out_targets(g: Graph, u: str, cap: int = 2) -> list:
     ≥ 2 bundle at all (swapping the instance would contradict uniqueness).
     """
     targets = []
-    for b in g.out_bundles(u):
-        targets += [b.target] * (cap if b.mult is OMEGA else min(cap, b.mult))
+    for t, mult in _reference(g)[u].out:
+        targets += [t] * (cap if mult is OMEGA else min(cap, mult))
     return targets
 
 
@@ -97,25 +126,25 @@ def _csp_verdicts(g: Graph) -> dict:
 
 def csp_class_oracle(g: Graph, v: str) -> str:
     """|CSP(v)| as Zero/One/TwoPlus, read off the graph's walk verdicts."""
-    g.index(v)  # an unknown id raises here, as in every accessor
+    g.index(v)  # an unknown id raises here
     return _csp_verdicts(g)[v]
 
 
 def hs_closure_oracle(g: Graph, X) -> frozenset:
     """Hereditary saturated closure by one-element-at-a-time fixpoint."""
     s = set(X)
+    g.check_vertices(s)
+    ref = _reference(g)
     changed = True
     while changed:
         changed = False
         for u in list(s):
-            for t in g.targets(u):
+            for t in ref[u].targets:
                 if t not in s:
                     s.add(t)
                     changed = True
-        for u in g.vertices:
-            if u in s or not g.is_regular(u):
-                continue
-            if all(t in s for t in g.targets(u)):
+        for u, row in ref.items():
+            if u not in s and _regular(row) and all(t in s for t in row.targets):
                 s.add(u)
                 changed = True
     return frozenset(s)
@@ -126,7 +155,7 @@ def simple_cycles(g: Graph) -> tuple:
     """All vertex-simple cycles, each once, rooted at its smallest vertex
     (memoized)."""
     order = {v: i for i, v in enumerate(g.vertices)}
-    adj = {v: sorted(set(g.targets(v))) for v in g.vertices}
+    adj = {v: row.targets for v, row in _reference(g).items()}
     found = []
 
     def dfs(start: str, u: str, path: list, onpath: set) -> None:
@@ -145,24 +174,16 @@ def simple_cycles(g: Graph) -> tuple:
     return tuple(found)
 
 
-def _out_instance_count(g: Graph, u: str):
-    total = 0
-    for b in g.out_bundles(u):
-        if b.mult is OMEGA:
-            return OMEGA
-        total += b.mult
-    return total
-
-
 def _bifurcates(g: Graph, u: str) -> bool:
-    c = _out_instance_count(g, u)
+    c = _reference(g)[u].count
     return c is OMEGA or c >= 2
 
 
 def cycles_without_exits_oracle(g: Graph) -> tuple:
+    ref = _reference(g)
     out = set()
     for cyc in simple_cycles(g):
-        if all(_out_instance_count(g, u) == 1 for u in cyc):
+        if all(ref[u].count == 1 for u in cyc):
             out.update(cyc)
     return tuple(sorted(out))
 
@@ -175,9 +196,7 @@ def extreme_cycles_oracle(g: Graph) -> tuple:
         cset = set(cyc)
         if not any(_bifurcates(g, u) for u in cyc):
             continue
-        tree = set()
-        for u in cyc:
-            tree |= reach[u]
+        tree = set().union(*(reach[u] for u in cyc))
         if all(reach[w] & cset for w in tree):
             out.update(cset)
     return tuple(sorted(out))
@@ -185,11 +204,12 @@ def extreme_cycles_oracle(g: Graph) -> tuple:
 
 def line_points_oracle(g: Graph) -> tuple:
     reach = reach_sets(g)
+    ref = _reference(g)
     out = []
     for v in g.vertices:
         tree = reach[v]
         bifurcates = any(_bifurcates(g, u) for u in tree)
-        has_cycle = any(u in reach[t] for u in tree for t in g.targets(u))
+        has_cycle = any(u in reach[t] for u in tree for t in ref[u].targets)
         if not bifurcates and not has_cycle:
             out.append(v)
     return tuple(sorted(out))
@@ -197,7 +217,7 @@ def line_points_oracle(g: Graph) -> tuple:
 
 def b_infinity_oracle(g: Graph) -> tuple:
     reach = reach_sets(g)
-    emitters = {u for u in g.vertices if g.is_infinite_emitter(u)}
+    emitters = {u for u, row in _reference(g).items() if row.count is OMEGA}
     return tuple(sorted(v for v in g.vertices if reach[v] & emitters))
 
 
@@ -254,12 +274,7 @@ def pprime_classes_oracle(g: Graph, prime) -> tuple:
             x = parent[x]
         return x
 
-    spans = []
-    for c in cycles:
-        span = set()
-        for u in c:
-            span |= reach[u]
-        spans.append(span)
+    spans = [set().union(*(reach[u] for u in c)) for c in cycles]
     for i in range(len(cycles)):
         for j in range(i + 1, len(cycles)):
             if spans[i] & set(cycles[j]) or spans[j] & set(cycles[i]):
@@ -277,22 +292,24 @@ def hereditary_sets(g: Graph) -> list:
     n = len(g.vertices)
     if n > 14:
         raise ValueError("subset enumeration is for small graphs only")
+    ref = _reference(g)
     out = []
     for bits in range(1 << n):
         s = {g.vertices[i] for i in range(n) if bits >> i & 1}
-        if all(t in s for u in s for t in g.targets(u)):
+        if all(t in s for u in s for t in ref[u].targets):
             out.append(frozenset(s))
     return out
 
 
 def hereditary_saturated_sets(g: Graph) -> list:
     """Every hereditary saturated subset, by brute force over 2^n."""
+    ref = _reference(g)
     return [
         s
         for s in hereditary_sets(g)
         if all(
-            not (g.is_regular(u) and all(t in s for t in g.targets(u)))
-            for u in g.vertices
+            not (_regular(row) and all(t in s for t in row.targets))
+            for u, row in ref.items()
             if u not in s
         )
     ]
@@ -306,9 +323,9 @@ def breaking_capable_oracle(g: Graph) -> tuple:
     """
     hereditary = hereditary_sets(g)
     out = []
-    for u in g.vertices:
-        omega = {b.target for b in g.out_bundles(u) if b.mult is OMEGA}
-        finite = {b.target for b in g.out_bundles(u) if b.mult is not OMEGA}
+    for u, row in _reference(g).items():
+        omega = {t for t, mult in row.out if mult is OMEGA}
+        finite = {t for t, mult in row.out if mult is not OMEGA}
         if omega and any(u not in y and omega <= y and finite - y for y in hereditary):
             out.append(u)
     return tuple(out)
@@ -336,10 +353,9 @@ def p_ex_oracle(g: Graph) -> tuple:
     edges leaving P_(K)."""
     core = set(p_K_oracle(g))
     out = set(core)
-    for u in g.vertices:
-        bundles = g.out_bundles(u)
-        if u not in core and any(b.mult is OMEGA for b in bundles) and all(
-            b.mult is not OMEGA for b in bundles if b.target not in core
+    for u, row in _reference(g).items():
+        if u not in core and row.count is OMEGA and all(
+            mult is not OMEGA for t, mult in row.out if t not in core
         ):
             out.add(u)
     return tuple(sorted(out))

@@ -23,6 +23,8 @@ from .oracles import (
     extreme_cycles_oracle,
     hs_closure_oracle,
     line_points_oracle,
+    p_ex_oracle,
+    p_K_oracle,
     pprime_classes_oracle,
     properly_infinite_subsets_oracle,
 )
@@ -74,6 +76,8 @@ def _oracle_pairs(g: Graph):
     yield "line_points", c.p_l, line_points_oracle(g)
     yield "cycles_without_exits", c.p_c, cycles_without_exits_oracle(g)
     yield "b_infinity", c.p_binf, b_infinity_oracle(g)
+    yield "p_K", c.p_K, p_K_oracle(g)
+    yield "p_ex", c.p_ex, p_ex_oracle(g)
     if len(g.vertices) <= 5:
         slow = properly_infinite_subsets_oracle(g)
         yield "properly_infinite", properly_infinite(g), slow

@@ -25,7 +25,8 @@ import sys
 
 from .closures import check_breaking
 from .errors import ExpressionError, GraphValidationError
-from .graph import OMEGA, Graph, _record, instance_id, parse_instance, per_graph
+from .graph import OMEGA, REGULAR, Graph, _record, instance_id, parse_instance
+from .graph import per_graph
 
 
 def _exact(k):
@@ -97,17 +98,15 @@ class _InstanceTable(dict):
     def __missing__(self, key: str):
         g = self.graph
         if g.has_vertex(key):
-            value = tuple(
-                (inst, b.target) for b in g.out_bundles(key) for inst in b.instances
-            )
+            out = g.out_table[g.index(key)]
+            value = tuple((inst, b.target) for b in out for inst in b.instances)
         else:
             b, _ = parse_instance(g, key)
-            src = b.source
-            value = (
-                src,
-                b.target,
-                g.is_regular(src) and key == instance_id(g.out_bundles(src)[0], 1),
+            i = g.index(b.source)
+            special = g.kind_mask(REGULAR) >> i & 1 == 1 and (
+                key == instance_id(g.out_table[i][0], 1)
             )
+            value = (b.source, b.target, special)
         self[key] = value
         return value
 
@@ -174,7 +173,10 @@ class AlgebraElement:
         self.graph = graph
         table = _instance_table(graph)
         acc: dict = {}
-        for mono, coeff in dict(terms or {}).items():
+        for key, coeff in dict(terms or {}).items():
+            if not isinstance(key, tuple) or len(key) != 3:
+                raise GraphValidationError(f"monomial key {key!r} is not a triple")
+            mono = Monomial(*key)
             _check_path_pair(graph, mono)
             _normalize_monomial(table, mono, _exact(coeff), acc)
         self._terms = _settled(acc)
@@ -353,7 +355,7 @@ def v_H_element(g: Graph, v: str, H) -> AlgebraElement:
     hset = set(H)
     check_breaking(g, hset, (v,))
     terms = {Monomial((), (), v): 1}
-    for b in g.out_bundles(v):
+    for b in g.out_table[g.index(v)]:
         if b.mult is OMEGA or b.target in hset:
             continue
         for inst in b.instances:

@@ -34,6 +34,7 @@ from leavittpath import cli
 from leavittpath.classify import _classify_masks
 from leavittpath.random_graphs import enumerate_graphs, random_graphs, sample_graphs
 from leavittpath.errors import InvariantViolation
+from leavittpath.graph import REGULAR
 from leavittpath.selftest import check_maximality, check_oracles
 from leavittpath.terms import AlgebraElement, _instance_table
 
@@ -179,9 +180,7 @@ def _check_relations(g):
     for (t1, _), (t2, b2) in itertools.product(insts, repeat=2):
         want = V[b2.target] if t1 == t2 else zero
         assert Gh[t1] * E[t2] == want
-    for v in g.vertices:
-        if g.kind(v) != "Regular":
-            continue
+    for v in g.set_of(g.kind_mask(REGULAR)):
         acc = zero
         for t, _ in _instance_table(g)[v]:
             acc = acc + E[t] * Gh[t]

@@ -18,6 +18,7 @@ from leavittpath import (
 )
 
 from leavittpath import cli
+from leavittpath.oracles import hs_closure_oracle
 from leavittpath.random_graphs import random_graphs
 
 from conftest import fixture_graph, fixture_path
@@ -140,12 +141,12 @@ def test_density_check_witnesses():
 
 
 def _distances_to(g, X):
-    """Edge distance from each vertex to X, by BFS over ``g.targets`` alone."""
+    """Edge distance from each vertex to X, by BFS over ``g.bundles`` alone."""
     dist = {}
     for v in g.vertices:
         frontier, seen, d = {v}, {v}, 0
         while frontier and not frontier & set(X):
-            frontier = {t for u in frontier for t in g.targets(u)} - seen
+            frontier = {b.target for b in g.bundles if b.source in frontier} - seen
             seen |= frontier
             d += 1
         if frontier:
@@ -210,9 +211,7 @@ OMEGA_H = fixture_graph("omega-h")  # u breaks H = {h, x}
         lambda g: csp_class(g, "nope"),
         lambda g: ideal_descriptor(g, ("nope",)),
         lambda g: g.index("nope"),
-        lambda g: g.kind("nope"),
-        lambda g: g.targets("nope"),
-        lambda g: g.out_bundles("nope"),
+        lambda g: hs_closure_oracle(g, ("v3", "nope")),
         # an id in S or v, next to an H that u does break
         lambda _: ideal_descriptor(OMEGA_H, ("h",), S=("nope",)),
         lambda _: build_hedgehog(OMEGA_H, ("h", "x"), ("nope",)),
@@ -221,7 +220,7 @@ OMEGA_H = fixture_graph("omega-h")  # u breaks H = {h, x}
     ids=[
         "reachable", "is_hereditary", "is_saturated", "saturate_once",
         "breaking_vertices", "density_check", "csp_class", "ideal_descriptor",
-        "index", "kind", "targets", "out_bundles", "ideal_descriptor_S",
+        "index", "hs_closure_oracle", "ideal_descriptor_S",
         "build_hedgehog_S", "v_H_element",
     ],
 )

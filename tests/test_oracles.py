@@ -11,6 +11,7 @@ vertices, P_(K), P_ppi, P_ex and the P′ trees).
 import itertools
 import pickle
 import random
+import re
 
 import pytest
 
@@ -26,6 +27,7 @@ from leavittpath import (
     saturate_once,
     to_text,
 )
+from leavittpath.errors import InvariantViolation
 from leavittpath.oracles import (
     b_infinity_oracle,
     breaking_capable_oracle,
@@ -211,6 +213,23 @@ def test_memoized_oracle_answers_are_read_only():
     assert simple_cycles(g) is cycles
 
 
+def test_oracles_do_not_read_the_integer_view():
+    # drop f1 (v1 -> v2) from v1's rows of the integer view before any
+    # analysis reads them: the oracles, built from the bundle list, still
+    # see the edge, so the cross-check names the fault
+    g = fixture_graph("chain3")
+    i = g.index("v1")
+    k = [b.id for b in g.out_table[i]].index("f1")
+    out, succ = list(g._out), list(g._succ)
+    out[i] = out[i][:k] + out[i][k + 1:]
+    succ[i] = succ[i][:k] + succ[i][k + 1:]
+    g._out, g._succ = tuple(out), tuple(succ)
+    assert not g._memo
+    with pytest.raises(InvariantViolation,
+                       match=re.escape("hs_closure({v1}): fast ('v1',) != oracle")):
+        check_oracles(g)
+
+
 def test_memoized_oracles_match_a_fresh_computation():
     for g in random_graphs(150, 2718, max_vertices=6):
         check_oracles(g)
@@ -317,7 +336,8 @@ def _closure_by_definition(g, X):
     that grew the set."""
     held, todo = set(X), list(X)
     while todo:
-        for t in g.targets(todo.pop()):
+        u = todo.pop()
+        for t in (b.target for b in g.bundles if b.source == u):
             if t not in held:
                 held.add(t)
                 todo.append(t)

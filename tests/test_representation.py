@@ -17,7 +17,7 @@ import random
 from fractions import Fraction
 
 from leavittpath import EdgeBundle, Graph
-from leavittpath.graph import parse_instance
+from leavittpath.graph import SINK, parse_instance
 from leavittpath.terms import AlgebraElement, Monomial
 
 GRAPHS = 60
@@ -147,7 +147,7 @@ def test_term_engine_is_faithful_on_acyclic_graphs():
     for _ in range(GRAPHS):
         g = random_acyclic_graph(rng)
         into = paths_into(g)
-        sinks = [w for w in g.vertices if g.kind(w) == "Sink"]
+        sinks = g.set_of(g.kind_mask(SINK))
         basis = [p for w in sinks for p in into[w]]
         monomials = normal_form_monomials(g, into)
         assert len(monomials) == sum(len(into[w]) ** 2 for w in sinks)

@@ -625,3 +625,16 @@ def test_public_constructor_refuses_what_is_no_path_pair(name, mono, fault):
     g = fixture_graph(name)
     with pytest.raises(GraphValidationError, match=re.escape(f"{mono!r}: {fault}")):
         AlgebraElement(g, {mono: 1})
+
+
+def test_public_constructor_keeps_plain_triples_as_monomials():
+    g = fixture_graph("chain3")
+    plain = AlgebraElement(g, {(("f1",), (), "v2"): 1})
+    assert plain == E(g, "f1") and hash(plain) == hash(E(g, "f1"))
+    assert [type(m) for m in plain.terms] == [Monomial]
+    assert format_element(plain) == "1 · f1"
+    assert str(plain) == "AlgebraElement(1 · f1)"
+    for key in ((("f1",), "v2"), "v2"):
+        with pytest.raises(GraphValidationError,
+                           match=re.escape(f"monomial key {key!r} is not a triple")):
+            AlgebraElement(g, {key: 1})
